@@ -19,6 +19,7 @@
 //! default: `MONDRIAN_BENCH_TPV` (tuples per vault, default 1024) and
 //! `MONDRIAN_BENCH_SEED`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use mondrian_core::{ExperimentBuilder, OperatorKind, Report, SystemKind};

@@ -19,6 +19,7 @@
 //! Timing is owned by the engine crate: `Cache` decides *what* happens
 //! (hit, merged miss, fill, eviction), the engine decides *when*.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;

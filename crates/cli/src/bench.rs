@@ -54,10 +54,6 @@ pub struct BenchReport {
     pub memo_hits: usize,
     /// Host cores available when the benchmark ran.
     pub host_cores: usize,
-    /// Engine event-loop threads per run the whole ladder was measured
-    /// with (`0` = follow the executor's per-run budget). Recorded so a
-    /// sweep read later says what engine threading produced its numbers.
-    pub sim_threads: usize,
     /// The jobs ladder, in the requested order.
     pub points: Vec<BenchPoint>,
 }
@@ -78,7 +74,6 @@ impl BenchReport {
         root.insert("runs", Value::Int(self.runs as i64));
         root.insert("memo_hits", Value::Int(self.memo_hits as i64));
         root.insert("host_cores", Value::Int(self.host_cores as i64));
-        root.insert("sim_threads", Value::Int(self.sim_threads as i64));
         root.insert(
             "sweep",
             Value::Array(
@@ -122,12 +117,10 @@ impl BenchReport {
             })
             .collect();
         format!(
-            "{{\"commit\":{},\"campaign\":{},\"host_cores\":{},\"sim_threads\":{},\
-             \"runs\":{},\"sweep\":[{}]}}",
+            "{{\"commit\":{},\"campaign\":{},\"host_cores\":{},\"runs\":{},\"sweep\":[{}]}}",
             json_str(commit),
             json_str(&self.campaign),
             self.host_cores,
-            self.sim_threads,
             self.runs,
             points.join(","),
         )
@@ -136,12 +129,8 @@ impl BenchReport {
     /// One line per ladder point for terminals.
     pub fn human_summary(&self) -> String {
         let mut out = format!(
-            "bench {:?}: {} runs ({} memoized), {} host core(s), sim_threads={}\n",
-            self.campaign,
-            self.runs,
-            self.memo_hits,
-            self.host_cores,
-            if self.sim_threads == 0 { "auto".to_string() } else { self.sim_threads.to_string() },
+            "bench {:?}: {} runs ({} memoized), {} host core(s)\n",
+            self.campaign, self.runs, self.memo_hits, self.host_cores,
         );
         out.push_str(&one_core_note(self.host_cores));
         for p in &self.points {
@@ -222,7 +211,6 @@ pub fn bench(manifest: &Manifest, jobs_list: &[usize], repeat: usize) -> BenchRe
         runs,
         memo_hits,
         host_cores: host_cores(),
-        sim_threads: manifest.sim_threads.unwrap_or(0),
         points,
     }
 }
@@ -240,223 +228,6 @@ pub fn one_core_note(host_cores: usize) -> String {
         "  note: host_cores=1 — speedups not meaningful on this host\n".to_string()
     } else {
         String::new()
-    }
-}
-
-/// One point of the engine scaling ladder: a full campaign measured at
-/// one `(sim_threads, jobs)` combination.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EnginePoint {
-    /// Engine event-loop threads per run.
-    pub sim_threads: usize,
-    /// Campaign worker threads.
-    pub jobs: usize,
-    /// Best-of-`repeat` wall-clock milliseconds for the whole campaign.
-    pub wall_ms: f64,
-    /// Serial baseline (`sim_threads = 1, jobs = 1`) wall time divided by
-    /// this point's.
-    pub speedup: f64,
-    /// Discrete engine events the campaign's non-memoized runs processed.
-    pub events: u64,
-    /// Engine events simulated per host wall-clock second.
-    pub events_per_sec: f64,
-    /// Whether the artifact matched the serial baseline byte for byte.
-    pub identical: bool,
-    /// Whether every stage of every run verified.
-    pub verified: bool,
-}
-
-/// Results of one engine scaling sweep (`mondrian bench --engine`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineReport {
-    /// Campaign name.
-    pub campaign: String,
-    /// Runs in the sweep cross product.
-    pub runs: usize,
-    /// Host cores available when the benchmark ran.
-    pub host_cores: usize,
-    /// The determinism fingerprint: an FNV-1a digest folded over every
-    /// ladder point's artifact digest *and* the baseline's. One campaign
-    /// has exactly one honest fingerprint — if any point's artifact
-    /// diverges, the fingerprint moves, so two hosts (or two commits)
-    /// agreeing on it agree on every byte of every point.
-    pub fingerprint: String,
-    /// The `(sim_threads, jobs)` ladder, in sweep order.
-    pub points: Vec<EnginePoint>,
-}
-
-impl EngineReport {
-    /// Whether every point verified and matched the baseline artifact.
-    pub fn ok(&self) -> bool {
-        self.points.iter().all(|p| p.identical && p.verified)
-    }
-
-    /// The JSON document written to `BENCH_sweep.json` in engine mode.
-    pub fn to_json(&self) -> String {
-        let round = |x: f64| (x * 1000.0).round() / 1000.0;
-        let mut root = Value::table();
-        root.insert("campaign", Value::Str(self.campaign.clone()));
-        root.insert("runs", Value::Int(self.runs as i64));
-        root.insert("host_cores", Value::Int(self.host_cores as i64));
-        root.insert("fingerprint", Value::Str(self.fingerprint.clone()));
-        root.insert(
-            "engine_sweep",
-            Value::Array(
-                self.points
-                    .iter()
-                    .map(|p| {
-                        let mut t = Value::table();
-                        t.insert("sim_threads", Value::Int(p.sim_threads as i64));
-                        t.insert("jobs", Value::Int(p.jobs as i64));
-                        t.insert("wall_ms", Value::Float(round(p.wall_ms)));
-                        t.insert("speedup", Value::Float(round(p.speedup)));
-                        t.insert("events", Value::Int(p.events as i64));
-                        t.insert("events_per_sec", Value::Float(p.events_per_sec.round()));
-                        t.insert("identical", Value::Bool(p.identical));
-                        t.insert("verified", Value::Bool(p.verified));
-                        t
-                    })
-                    .collect(),
-            ),
-        );
-        root.to_json()
-    }
-
-    /// One compact JSON line for `BENCH_history.jsonl` (engine mode).
-    pub fn history_line(&self, commit: &str) -> String {
-        let json_str = |s: &str| Value::Str(s.to_string()).to_json().trim().to_string();
-        let points: Vec<String> = self
-            .points
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"sim_threads\":{},\"jobs\":{},\"wall_ms\":{:.3},\"speedup\":{:.3},\
-                     \"events_per_sec\":{:.0},\"identical\":{}}}",
-                    p.sim_threads, p.jobs, p.wall_ms, p.speedup, p.events_per_sec, p.identical,
-                )
-            })
-            .collect();
-        format!(
-            "{{\"commit\":{},\"campaign\":{},\"host_cores\":{},\"runs\":{},\
-             \"fingerprint\":{},\"engine\":[{}]}}",
-            json_str(commit),
-            json_str(&self.campaign),
-            self.host_cores,
-            self.runs,
-            json_str(&self.fingerprint),
-            points.join(","),
-        )
-    }
-
-    /// One line per ladder point for terminals.
-    pub fn human_summary(&self) -> String {
-        let mut out = format!(
-            "bench --engine {:?}: {} runs, {} host core(s), fingerprint {}\n",
-            self.campaign, self.runs, self.host_cores, self.fingerprint,
-        );
-        out.push_str(&one_core_note(self.host_cores));
-        for p in &self.points {
-            out.push_str(&format!(
-                "  sim_threads={:<3} jobs={:<3} {:>10.3} ms  {:>6.2}x  {:>12.0} events/s  {}{}\n",
-                p.sim_threads,
-                p.jobs,
-                p.wall_ms,
-                p.speedup,
-                p.events_per_sec,
-                if p.identical { "byte-identical" } else { "ARTIFACT DIVERGED" },
-                if p.verified { "" } else { " VERIFICATION FAILED" },
-            ));
-        }
-        out
-    }
-}
-
-/// 64-bit FNV-1a over `bytes`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// The engine scaling harness: runs `manifest` once per point of the
-/// `sim_threads_list` × `jobs_list` cross product (each timed as the best
-/// of `repeat` executions), cross-checks every artifact byte for byte
-/// against the always-executed serial baseline (`sim_threads = 1,
-/// jobs = 1`), and folds every artifact digest into one determinism
-/// fingerprint.
-pub fn bench_engine(
-    manifest: &Manifest,
-    sim_threads_list: &[usize],
-    jobs_list: &[usize],
-    repeat: usize,
-) -> EngineReport {
-    assert!(!sim_threads_list.is_empty(), "bench --engine needs at least one sim_threads value");
-    assert!(!jobs_list.is_empty(), "bench --engine needs at least one jobs value");
-    let repeat = repeat.max(1);
-    let mut runs = 0;
-    let mut measure = |sim_threads: usize, jobs: usize| {
-        let mut pinned = manifest.clone();
-        pinned.sim_threads = Some(sim_threads);
-        let mut best = f64::INFINITY;
-        let mut artifact = String::new();
-        let mut verified = true;
-        let mut events: u64 = 0;
-        for r in 0..repeat {
-            let start = Instant::now();
-            let campaign = run_campaign_jobs(&pinned, jobs, |_| {});
-            best = best.min(start.elapsed().as_secs_f64() * 1e3);
-            if r == 0 {
-                verified = campaign.verified();
-                artifact = campaign.to_json();
-                runs = campaign.runs.len();
-                events = campaign
-                    .runs
-                    .iter()
-                    .filter(|run| !run.memoized)
-                    .filter_map(|run| run.report.as_ref())
-                    .map(mondrian_pipeline::PipelineReport::events)
-                    .sum();
-            }
-        }
-        (artifact, best, verified, events)
-    };
-    let (base_artifact, base_wall, base_verified, base_events) = measure(1, 1);
-    let mut fingerprint = fnv1a(format!("{:016x}", fnv1a(base_artifact.as_bytes())).as_bytes());
-    let mut points = Vec::with_capacity(sim_threads_list.len() * jobs_list.len());
-    for &sim_threads in sim_threads_list {
-        for &jobs in jobs_list {
-            let (artifact, wall_ms, verified, events) = if (sim_threads, jobs) == (1, 1) {
-                (base_artifact.clone(), base_wall, base_verified, base_events)
-            } else {
-                measure(sim_threads, jobs)
-            };
-            // Digest-of-digests: fold this point's artifact digest into
-            // the running fingerprint.
-            for &b in format!("{:016x}", fnv1a(artifact.as_bytes())).as_bytes() {
-                fingerprint ^= u64::from(b);
-                fingerprint = fingerprint.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            points.push(EnginePoint {
-                sim_threads,
-                jobs,
-                wall_ms,
-                speedup: base_wall / wall_ms.max(1e-9),
-                events,
-                events_per_sec: events as f64 * 1e3 / wall_ms.max(1e-9),
-                identical: artifact == base_artifact,
-                verified,
-            });
-        }
-    }
-    EngineReport {
-        campaign: manifest.name.clone(),
-        runs,
-        host_cores: host_cores(),
-        fingerprint: format!("{fingerprint:016x}"),
-        points,
     }
 }
 
@@ -703,51 +474,6 @@ mod tests {
             Some(2)
         );
         assert!(doc.get("host_cores").is_some());
-    }
-
-    #[test]
-    fn engine_ladder_is_identical_and_fingerprint_is_stable() {
-        let manifest = Manifest::parse(MANIFEST, Format::Toml).unwrap();
-        let report = bench_engine(&manifest, &[1, 2, 4], &[1, 2], 1);
-        assert!(report.ok(), "every (sim_threads, jobs) artifact must match the serial baseline");
-        assert_eq!(report.points.len(), 6);
-        assert!(report.points.iter().all(|p| p.events == report.points[0].events));
-        assert!(report.points.iter().all(|p| p.events_per_sec > 0.0));
-        // The fingerprint is a pure function of the (deterministic)
-        // artifacts: an independent sweep reproduces it exactly.
-        let again = bench_engine(&manifest, &[1, 2, 4], &[1, 2], 1);
-        assert_eq!(report.fingerprint, again.fingerprint);
-        assert_eq!(report.fingerprint.len(), 16);
-        let json = report.to_json();
-        let doc = crate::value::parse_json(&json).unwrap();
-        assert_eq!(
-            doc.get("fingerprint").and_then(crate::value::Value::as_str),
-            Some(report.fingerprint.as_str())
-        );
-        assert_eq!(
-            doc.get("engine_sweep").and_then(crate::value::Value::as_array).map(<[_]>::len),
-            Some(6)
-        );
-        let line = report.history_line("abc123");
-        assert!(!line.contains('\n'));
-        let doc = crate::value::parse_json(&line).unwrap();
-        assert!(doc.get("fingerprint").is_some());
-        assert!(report.human_summary().contains("sim_threads=1"));
-    }
-
-    #[test]
-    fn plain_bench_records_the_sim_threads_knob() {
-        let pinned =
-            MANIFEST.replace("tuples_per_vault = 64", "tuples_per_vault = 64\nsim_threads = 2");
-        let manifest = Manifest::parse(&pinned, Format::Toml).unwrap();
-        let report = bench(&manifest, &[1], 1);
-        assert_eq!(report.sim_threads, 2);
-        assert!(report.to_json().contains("\"sim_threads\": 2"));
-        assert!(report.history_line("abc").contains("\"sim_threads\":2"));
-        // Unpinned manifests record the follow-the-executor default.
-        let auto = bench(&Manifest::parse(MANIFEST, Format::Toml).unwrap(), &[1], 1);
-        assert_eq!(auto.sim_threads, 0);
-        assert!(auto.human_summary().contains("sim_threads=auto"));
     }
 
     #[test]

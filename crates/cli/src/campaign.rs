@@ -293,7 +293,7 @@ pub fn run_campaign_sink<F: FnMut(&CampaignRun)>(
 /// only the DAG suffix whose digest chain changed. Runs that end
 /// faulted, retried, skipped, or otherwise non-`Ok` are never written
 /// back. The artifact stays byte-identical to a storeless campaign for
-/// every `jobs`/`sim_threads` value: cache provenance is only
+/// every `jobs` value: cache provenance is only
 /// serialized under `--timings`.
 pub fn run_campaign_store<F: FnMut(&CampaignRun)>(
     manifest: &Manifest,
@@ -380,10 +380,10 @@ pub fn run_campaign_store<F: FnMut(&CampaignRun)>(
     }
     let memo_hits = owner.iter().enumerate().filter(|&(i, &o)| o != i).count();
 
-    // Spare workers become intra-run threads (branch-wave parallelism and
-    // reference/simulation overlap). Derived from the manifest alone, so
-    // it cannot perturb determinism — and neither could any other split,
-    // since intra-run threading is result-invariant too.
+    // Spare workers become intra-run branch-wave threads. Derived from
+    // the manifest alone, so it cannot perturb determinism — and neither
+    // could any other split, since intra-run threading is
+    // result-invariant too.
     let threads_per_run = (jobs / unique.len().max(1)).max(1);
 
     // What one executed sweep point yields: report, sim wall-clock ms,
@@ -426,7 +426,7 @@ pub fn run_campaign_store<F: FnMut(&CampaignRun)>(
 
     // Runs one sweep point, converting panics into a structured exit:
     // tripped limits pass through unchanged; anything else (an injected
-    // fault, a pool-worker panic, a bug) gets exactly one retry before
+    // fault, a branch-worker panic, a bug) gets exactly one retry before
     // it becomes a `worker_panic` failure of this sweep point alone.
     // With a store attached, a full-run hit short-circuits everything —
     // including the fault machinery, which is safe because the faulted

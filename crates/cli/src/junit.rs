@@ -6,7 +6,7 @@
 //! The XML is fully deterministic: testcase times are the runs'
 //! *simulated* makespans (1 ps = 1e-12 s), never host wall clock, so —
 //! like the JSON artifact — the report is byte-identical for every
-//! `--jobs` / `--sim-threads` value.
+//! `--jobs` value.
 
 use crate::campaign::{Campaign, CampaignRun, ExitReason};
 

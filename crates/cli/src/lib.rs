@@ -8,6 +8,7 @@
 //! layer over these modules so integration tests can exercise
 //! everything in-process.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bench;

@@ -3,12 +3,10 @@
 //! ```text
 //! mondrian run <manifest.(toml|json)> [--out result.json] [--quiet]
 //!              [--concurrency serial|branch|stream|auto] [--jobs N]
-//!              [--sim-threads N] [--timings]
-//!              [--cache-dir <path>] [--no-cache]
+//!              [--timings] [--cache-dir <path>] [--no-cache]
 //! mondrian bench <manifest.(toml|json)> [--out BENCH_sweep.json]
 //!                [--history BENCH_history.jsonl|none]
-//!                [--jobs-list 1,2,4] [--repeat N]
-//!                [--engine] [--sim-threads-list 1,2,4] [--cache]
+//!                [--jobs-list 1,2,4] [--repeat N] [--cache]
 //! mondrian cache <stats|clear|prune --max-bytes N> [--cache-dir <path>]
 //! mondrian explain <manifest.(toml|json)> [result.json]
 //! mondrian diff <a/result.json> <b/result.json> [--fail-on-regression <pct>]
@@ -22,11 +20,13 @@
 //! standardized code of the campaign's exit reason (see `ExitReason`
 //! and the README's exit-code table).
 
+#![forbid(unsafe_code)]
+
 use std::fs;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use mondrian_cli::bench::{bench, bench_cache, bench_engine, host_cores};
+use mondrian_cli::bench::{bench, bench_cache, host_cores};
 use mondrian_cli::campaign::{resolve_jobs, run_campaign_store, run_line, store_salt, ExitReason};
 use mondrian_cli::diff::diff;
 use mondrian_cli::junit::junit_xml;
@@ -44,7 +44,7 @@ the Mondrian Data Engine campaign runner
 usage:
   mondrian run <manifest.(toml|json)> [--out <path>] [--quiet]
                [--concurrency serial|branch|stream|auto] [--jobs N]
-               [--sim-threads N] [--timings] [--trace <path>]
+               [--timings] [--trace <path>]
                [--progress jsonl] [--junit <path>]
                [--cache-dir <path>] [--no-cache]
       run every (system x sweep) combination of the manifest's pipeline,
@@ -53,9 +53,6 @@ usage:
       the worker-thread count (precedence: --jobs, MONDRIAN_JOBS, the
       manifest's jobs knob, all host cores) and never changes the
       artifact, which stays byte-identical for every worker count;
-      --sim-threads parallelizes each run's engine event loop (batched
-      vault ticks + tail drain) on N host threads — execution speed
-      only, the artifact stays byte-identical;
       --timings adds metrics.host.sim_wall_ms to each run (the one
       nondeterministic subtree, excluded from digests and ignored by
       mondrian diff) plus the engine.cache.* counters and per-run
@@ -76,18 +73,13 @@ usage:
       by simulated time, memory/NoC/cache traffic, and the FR-FCFS
       scheduler-queue depth histogram
   mondrian bench <manifest.(toml|json)> [--out <path>] [--history <path>|none]
-                 [--jobs-list 1,2,4] [--repeat N]
-                 [--engine] [--sim-threads-list 1,2,4] [--cache]
+                 [--jobs-list 1,2,4] [--repeat N] [--cache]
       run the campaign once per jobs value, check every artifact is
       byte-identical to the single-worker baseline, write the wall-clock
-      sweep (default: BENCH_sweep.json), and append one JSONL trend line
-      (commit, host_cores, sim_wall_ms ladder) to the history file
-      (default: BENCH_history.jsonl; --history none to skip);
-      --engine instead ladders the engine event loop: one campaign per
-      (sim_threads x jobs) point from --sim-threads-list x --jobs-list,
-      reporting events/sec per point and a determinism fingerprint
-      (digest of every point's artifact digest) that must be a single
-      value across the whole ladder;
+      sweep with events/sec per point (default: BENCH_sweep.json), and
+      append one JSONL trend line (commit, host_cores, sim_wall_ms
+      ladder) to the history file (default: BENCH_history.jsonl;
+      --history none to skip);
       --cache instead runs a cold/warm ladder against a throwaway
       persistent store: one cold campaign populates it, then --repeat
       warm campaigns must byte-match the cold artifact while simulating
@@ -223,7 +215,6 @@ fn cmd_run(args: &[String]) -> Result<u8, CliError> {
     let mut progress_jsonl = false;
     let mut concurrency: Option<Concurrency> = None;
     let mut jobs_flag: Option<usize> = None;
-    let mut sim_threads_flag: Option<usize> = None;
     let mut cache_dir: Option<String> = None;
     let mut no_cache = false;
     let mut it = args.iter();
@@ -253,14 +244,6 @@ fn cmd_run(args: &[String]) -> Result<u8, CliError> {
                 // Zero is rejected by resolve_jobs, the single validator.
                 jobs_flag = Some(n.parse().map_err(|_| format!("bad worker count {n:?}"))?);
             }
-            "--sim-threads" => {
-                let n = it.next().ok_or("--sim-threads needs a thread count")?;
-                let n: usize = n.parse().map_err(|_| format!("bad engine thread count {n:?}"))?;
-                if n == 0 {
-                    return Err("--sim-threads must be at least 1".into());
-                }
-                sim_threads_flag = Some(n);
-            }
             "--concurrency" => {
                 concurrency = Some(match it.next().map(String::as_str) {
                     Some("serial") => Concurrency::Serial,
@@ -284,16 +267,13 @@ fn cmd_run(args: &[String]) -> Result<u8, CliError> {
     }
     let path = manifest_path.ok_or(
         "usage: mondrian run <manifest> [--out <path>] [--quiet] \
-         [--concurrency serial|branch|stream|auto] [--jobs N] [--sim-threads N] \
+         [--concurrency serial|branch|stream|auto] [--jobs N] \
          [--timings] [--trace <path>] [--progress jsonl] [--junit <path>] \
          [--cache-dir <path>] [--no-cache]",
     )?;
     let mut manifest = load_manifest(path)?;
     if let Some(c) = concurrency {
         manifest.concurrency = c;
-    }
-    if sim_threads_flag.is_some() {
-        manifest.sim_threads = sim_threads_flag;
     }
     let jobs = resolve_jobs(jobs_flag, manifest.jobs)?;
 
@@ -399,23 +379,8 @@ fn cmd_bench(args: &[String]) -> Result<u8, CliError> {
     let mut out_path = "BENCH_sweep.json".to_string();
     let mut history_path: Option<String> = Some("BENCH_history.jsonl".to_string());
     let mut jobs_list: Vec<usize> = vec![1, 2, 4];
-    let mut sim_threads_list: Vec<usize> = vec![1, 2, 4];
-    let mut engine = false;
     let mut cache = false;
     let mut repeat = 1usize;
-    let parse_list = |flag: &str, list: &str| -> Result<Vec<usize>, String> {
-        let out: Vec<usize> = list
-            .split(',')
-            .map(|v| match v.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => Ok(n),
-                _ => Err(format!("bad value {v:?} in {flag}")),
-            })
-            .collect::<Result<_, _>>()?;
-        if out.is_empty() {
-            return Err(format!("{flag} is empty"));
-        }
-        Ok(out)
-    };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -427,15 +392,16 @@ fn cmd_bench(args: &[String]) -> Result<u8, CliError> {
                 let path = it.next().ok_or("--history needs a path (or \"none\")")?.clone();
                 history_path = if path == "none" { None } else { Some(path) };
             }
-            "--engine" => engine = true,
             "--cache" => cache = true,
             "--jobs-list" => {
                 let list = it.next().ok_or("--jobs-list needs e.g. 1,2,4")?;
-                jobs_list = parse_list("--jobs-list", list)?;
-            }
-            "--sim-threads-list" => {
-                let list = it.next().ok_or("--sim-threads-list needs e.g. 1,2,4")?;
-                sim_threads_list = parse_list("--sim-threads-list", list)?;
+                jobs_list = list
+                    .split(',')
+                    .map(|v| match v.trim().parse::<usize>() {
+                        Ok(n) if n >= 1 => Ok(n),
+                        _ => Err(format!("bad value {v:?} in --jobs-list")),
+                    })
+                    .collect::<Result<_, _>>()?;
             }
             "--repeat" => {
                 let n = it.next().ok_or("--repeat needs a count")?;
@@ -454,19 +420,11 @@ fn cmd_bench(args: &[String]) -> Result<u8, CliError> {
     }
     let path = manifest_path.ok_or(
         "usage: mondrian bench <manifest> [--out <path>] [--history <path>|none] \
-         [--jobs-list 1,2,4] [--repeat N] [--engine] [--sim-threads-list 1,2,4] \
-         [--cache]",
+         [--jobs-list 1,2,4] [--repeat N] [--cache]",
     )?;
-    if engine && cache {
-        return Err("--engine and --cache are mutually exclusive".into());
-    }
     let manifest = load_manifest(path)?;
     let (summary, json, history_line, ok) = if cache {
         let report = bench_cache(&manifest, repeat);
-        let line = report.history_line(&current_commit());
-        (report.human_summary(), report.to_json(), line, report.ok())
-    } else if engine {
-        let report = bench_engine(&manifest, &sim_threads_list, &jobs_list, repeat);
         let line = report.history_line(&current_commit());
         (report.human_summary(), report.to_json(), line, report.ok())
     } else {

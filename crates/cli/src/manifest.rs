@@ -17,9 +17,8 @@
 //! concurrency = "serial"        # "serial" | "branch" | "stream" | "auto"; default serial
 //! jobs = 4                      # worker threads; default all host cores
 //!                               # (overridden by MONDRIAN_JOBS / --jobs)
-//! sim_threads = 2               # engine event-loop threads per run;
-//!                               # default follows the per-run thread
-//!                               # budget (overridden by --sim-threads)
+//! sim_threads = 2               # accepted and ignored (the engine is
+//!                               # single-threaded); must be at least 1
 //!
 //! [sweep]                       # optional; lists override the scalars
 //! tuples_per_vault = [256, 512]
@@ -150,7 +149,7 @@ impl RunSpec {
 
 /// Cooperative resource limits (`[limits]`). Every limit is enforced at
 /// deterministic checkpoints, so a tripped limit truncates the campaign
-/// at the same point for every `--jobs` / `--sim-threads` value.
+/// at the same point for every `--jobs` value.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Limits {
     /// Campaign wall-clock budget in milliseconds (host time; checked at
@@ -208,9 +207,9 @@ pub struct Manifest {
     /// `MONDRIAN_JOBS` environment variable, else every host core).
     /// Execution speed only — results are byte-identical for every value.
     pub jobs: Option<usize>,
-    /// Host threads for each run's engine event loop (`None` = follow
-    /// the executor's per-run thread budget). Execution speed only —
-    /// results are byte-identical for every value.
+    /// The retired `sim_threads` key, still parsed and validated (at
+    /// least 1) so existing manifests keep loading. A no-op: the engine
+    /// event loop is single-threaded and nothing reads this field.
     pub sim_threads: Option<usize>,
     /// The pipeline stages.
     pub stages: Vec<Stage>,
@@ -513,7 +512,6 @@ impl Manifest {
         cfg.key_bound = self.key_bound;
         cfg.underprovision = run.underprovision;
         cfg.concurrency = self.concurrency;
-        cfg.sim_threads = self.sim_threads.unwrap_or(0);
         cfg
     }
 }
@@ -970,10 +968,12 @@ mod tests {
             .replace("systems = [\"mondrian\"]", "systems = [\"mondrian\"]\nsim_threads = 4");
         let m = Manifest::parse(&text, Format::Toml).unwrap();
         assert_eq!(m.sim_threads, Some(4));
-        assert_eq!(m.config_for(m.runs()[0]).sim_threads, 4);
-        // Absent, the config keeps the follow-the-executor default.
+        // The key is a no-op: the run configuration is the same as without it.
         let default = Manifest::parse(MINIMAL, Format::Toml).unwrap();
-        assert_eq!(default.config_for(default.runs()[0]).sim_threads, 0);
+        assert_eq!(
+            format!("{:?}", m.config_for(m.runs()[0])),
+            format!("{:?}", default.config_for(default.runs()[0]))
+        );
         let zero = MINIMAL
             .replace("systems = [\"mondrian\"]", "systems = [\"mondrian\"]\nsim_threads = 0");
         assert!(Manifest::parse(&zero, Format::Toml)

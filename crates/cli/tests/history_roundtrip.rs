@@ -50,14 +50,8 @@ fn report(
             verified: true,
         })
         .collect();
-    let report = BenchReport {
-        campaign,
-        runs: points.len().max(1),
-        memo_hits: 0,
-        host_cores: 1,
-        sim_threads: 0,
-        points,
-    };
+    let report =
+        BenchReport { campaign, runs: points.len().max(1), memo_hits: 0, host_cores: 1, points };
     (commit, report)
 }
 

@@ -1,6 +1,6 @@
 //! The persistent cross-campaign result store, end to end and
 //! in-process: warm re-runs must be **byte-identical** to cold runs for
-//! every `jobs` × `sim_threads` combination while simulating nothing,
+//! every `jobs` value while simulating nothing,
 //! corrupted entries must degrade to misses (never into results or exit
 //! codes), an edited manifest must re-simulate only the affected DAG
 //! suffix, and fault-injected or retried runs must never reach the
@@ -88,25 +88,24 @@ fn cold_baseline(name: &'static str) -> (PathBuf, String) {
 
 proptest! {
     /// The acceptance property: for every example manifest, a warm
-    /// re-run at any `jobs` × `sim_threads` combination simulates
-    /// nothing and produces an artifact byte-identical to the cold run.
+    /// re-run at any `jobs` value simulates nothing and produces an
+    /// artifact byte-identical to the cold run.
     #[test]
     fn warm_reruns_are_byte_identical_and_simulate_nothing(
-        case in (0..EXAMPLES.len(), 0..2usize, 0..2usize)
+        case in (0..EXAMPLES.len(), 0..2usize)
     ) {
-        let (which, j, s) = case;
-        let (jobs, sim_threads) = ([1usize, 4][j], [1usize, 4][s]);
+        let (which, j) = case;
+        let jobs = [1usize, 4][j];
         let name = EXAMPLES[which];
         let (root, cold_artifact) = cold_baseline(name);
-        let mut manifest = example(name);
-        manifest.sim_threads = Some(sim_threads);
+        let manifest = example(name);
         let warm = run_with_store(&manifest, jobs, &root);
         prop_assert_eq!(warm.exit().reason, ExitReason::Ok);
         prop_assert_eq!(
             warm.to_json(),
             cold_artifact,
-            "{}: warm artifact diverged at jobs={} sim_threads={}",
-            name, jobs, sim_threads
+            "{}: warm artifact diverged at jobs={}",
+            name, jobs
         );
         prop_assert_eq!(
             simulated_runs(&warm), 0,

@@ -2,7 +2,7 @@
 //! campaigns at deterministic checkpoints, injected faults fail only
 //! their own sweep point (with one bounded retry), assertions evaluate
 //! at assembly time — and every degraded artifact stays byte-identical
-//! for every `--jobs` / `--sim-threads` value.
+//! for every `--jobs` value.
 
 use mondrian_cli::campaign::{run_campaign, run_campaign_jobs, ExitReason};
 use mondrian_cli::junit::junit_xml;
@@ -51,18 +51,9 @@ fn max_events_truncates_at_the_same_point_for_every_worker_count() {
         r.exit.reason == ExitReason::LimitEvents && r.exit.detail.starts_with("campaign truncated")
     }));
     crate::parse_artifact(&baseline.to_json());
-    // Byte-identical for every jobs x sim_threads combination.
+    // Byte-identical for every worker count.
     for jobs in [2, 4] {
         assert_eq!(baseline.to_json(), run_campaign_jobs(&manifest, jobs, |_| {}).to_json());
-    }
-    for sim_threads in [2, 4] {
-        let mut threaded = manifest.clone();
-        threaded.sim_threads = Some(sim_threads);
-        assert_eq!(
-            baseline.to_json(),
-            run_campaign_jobs(&threaded, 4, |_| {}).to_json(),
-            "sim_threads = {sim_threads} must not move the truncation point"
-        );
     }
 }
 
@@ -172,18 +163,16 @@ fn faulted_run_is_excluded_from_memoization_both_ways() {
 }
 
 #[test]
-fn vault_poll_fault_is_identical_for_serial_and_pooled_engines() {
+fn vault_poll_fault_is_identical_for_every_worker_count() {
     let mut manifest = sweep_manifest("");
     manifest.fault = Some(FaultPlan { run: 0, panic_in_vault_poll: true, ..FaultPlan::default() });
-    let serial = run_campaign(&manifest, |_| {});
-    let mut pooled = manifest.clone();
-    pooled.sim_threads = Some(4);
-    let threaded = run_campaign(&pooled, |_| {});
-    for campaign in [&serial, &threaded] {
+    let serial = run_campaign_jobs(&manifest, 1, |_| {});
+    let parallel = run_campaign_jobs(&manifest, 4, |_| {});
+    for campaign in [&serial, &parallel] {
         assert_eq!(campaign.runs[0].exit.reason, ExitReason::WorkerPanic);
         assert_eq!(campaign.runs[0].exit.detail, "injected vault-poll fault");
     }
-    assert_eq!(serial.to_json(), threaded.to_json());
+    assert_eq!(serial.to_json(), parallel.to_json());
 }
 
 #[test]
@@ -266,26 +255,20 @@ fn parse_artifact(json: &str) {
 proptest! {
     /// Satellite acceptance: a `max_events`-tripped campaign on the
     /// shipped example manifests emits byte-identical partial artifacts
-    /// across `--jobs` {1, 4} x `--sim-threads` {1, 4}.
+    /// across `--jobs` {1, 4}.
     #[test]
-    fn limit_tripped_examples_are_jobs_and_simthreads_invariant(case in (0usize..3, 1u64..400)) {
+    fn limit_tripped_examples_are_jobs_invariant(case in (0usize..3, 1u64..400)) {
         let (pick, budget) = case;
         let name = ["branch_join.toml", "cogroup_union.toml", "stream_chain.toml"][pick];
         let text = format!("{}\n[limits]\nmax_events = {budget}\n", example(name));
         let manifest = Manifest::parse(&text, Format::Toml).unwrap();
         let mut artifacts = Vec::new();
         for jobs in [1usize, 4] {
-            for sim_threads in [1usize, 4] {
-                let mut m = manifest.clone();
-                m.sim_threads = Some(sim_threads);
-                let campaign = run_campaign_jobs(&m, jobs, |_| {});
-                prop_assert_eq!(campaign.exit().reason, ExitReason::LimitEvents);
-                artifacts.push(campaign.to_json());
-            }
+            let campaign = run_campaign_jobs(&manifest, jobs, |_| {});
+            prop_assert_eq!(campaign.exit().reason, ExitReason::LimitEvents);
+            artifacts.push(campaign.to_json());
         }
         parse_artifact(&artifacts[0]);
-        for other in &artifacts[1..] {
-            prop_assert_eq!(&artifacts[0], other);
-        }
+        prop_assert_eq!(&artifacts[0], &artifacts[1]);
     }
 }

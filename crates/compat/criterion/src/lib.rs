@@ -7,6 +7,7 @@
 //! fill a short measurement window — and prints a `name: time/iter` line.
 //! It is a smoke-and-regression harness, not a statistics engine.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::time::{Duration, Instant};

@@ -9,6 +9,7 @@
 //! are reproducible, failures name the offending inputs through the
 //! standard assertion messages. Shrinking is intentionally out of scope.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Cases generated per property.

@@ -9,6 +9,7 @@
 //! releases**, which the simulator's byte-identical-artifact guarantee
 //! relies on. It makes no cryptographic claims.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Types drawable from a generator via [`Rng::gen`].

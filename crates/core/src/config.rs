@@ -242,19 +242,10 @@ pub struct SystemConfig {
     /// When `Some`, this configuration describes a leased vault partition
     /// of a larger machine rather than a whole machine (multi-tenancy).
     pub partition: Option<PartitionSpec>,
-    /// Host OS threads the simulator may use to evolve independent vault
-    /// command queues in parallel: batches of simultaneous vault ticks
-    /// inside the event loop poll concurrently (continuations still merge
-    /// in serial pop order), and the phase tail — where vaults no longer
-    /// interact through the mesh — drains fully parallel. Purely a
-    /// simulation-speed knob: results are byte-identical for every value.
-    /// 1 = fully serial.
-    pub sim_threads: usize,
     /// Cooperative non-tick event budget over this machine's lifetime
     /// (cumulative across phases). The event loop unwinds with a
     /// structured [`crate::fault::Abort`] the moment the count would
-    /// exceed the budget — the same simulated instant for every
-    /// `sim_threads` value, because `VaultTick` events never count.
+    /// exceed the budget.
     pub event_budget: Option<u64>,
     /// Armed fault-injection plan for this run (no-op unless the
     /// `fault-inject` feature is compiled in).
@@ -288,7 +279,6 @@ impl SystemConfig {
             barrier: 200 * PS_PER_NS,
             seed: 0x6d6f6e64, // "mond"
             partition: None,
-            sim_threads: 1,
             event_budget: None,
             fault: None,
         }

@@ -171,16 +171,6 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Lets the simulator execute independent vault work on up to `n`
-    /// host threads: batches of simultaneous vault ticks poll in parallel
-    /// throughout the phase, and the memory-drain tail runs as a parallel
-    /// sweep. Simulation-speed only: continuations merge in the serial
-    /// event order, so the report is byte-identical for every value.
-    pub fn sim_threads(mut self, n: usize) -> Self {
-        self.cfg.sim_threads = n.max(1);
-        self
-    }
-
     /// Injects the primary input relation instead of generating a dataset:
     /// the relation is range-partitioned across vaults in order, and the
     /// run's [`Report::output`] captures the operator's actual output so
@@ -1898,46 +1888,6 @@ mod tests {
         assert!(report.stats.iter().any(|(k, _)| k.starts_with("vault.3.")));
         assert!(!report.stats.iter().any(|(k, _)| k.starts_with("vault.0.")));
         assert!(report.mesh_totals.messages > 0, "scan traffic crosses the partition mesh");
-    }
-
-    /// The determinism contract of the parallel event loop: a
-    /// shuffle-heavy operator simulated with batched parallel vault ticks
-    /// must report the exact same machine — time, instructions, energy and
-    /// every hardware counter — as the serial simulation, on every system
-    /// shape (CPU with its LLC, NMP without one, Mondrian with permutable
-    /// shuffles).
-    #[test]
-    fn sim_threads_do_not_change_results() {
-        for (system, op) in [
-            (SystemKind::Mondrian, OperatorKind::GroupBy),
-            (SystemKind::NmpRand, OperatorKind::Join),
-            (SystemKind::Cpu, OperatorKind::Sort),
-        ] {
-            let run = |threads: usize| {
-                ExperimentBuilder::new(op)
-                    .system(system)
-                    .tiny()
-                    .tuples_per_vault(128)
-                    .sim_threads(threads)
-                    .run()
-            };
-            let serial = run(1);
-            for threads in [2, 4, 8] {
-                let parallel = run(threads);
-                assert!(serial.verified && parallel.verified);
-                assert_eq!(serial.runtime_ps, parallel.runtime_ps, "{system:?}/{op:?}");
-                assert_eq!(serial.instructions, parallel.instructions, "{system:?}/{op:?}");
-                assert_eq!(
-                    serial.stats, parallel.stats,
-                    "hardware counters diverged: {system:?}/{op:?} x{threads}"
-                );
-                assert_eq!(serial.energy.total_j(), parallel.energy.total_j());
-                assert_eq!(
-                    serial.phases.iter().map(|p| (p.start, p.end)).collect::<Vec<_>>(),
-                    parallel.phases.iter().map(|p| (p.start, p.end)).collect::<Vec<_>>(),
-                );
-            }
-        }
     }
 
     /// The streamed-input contract: chunked arrival changes the phase

@@ -3,15 +3,14 @@
 //! The robustness layer needs two things from the engine core:
 //!
 //! * **Structured aborts** — when a cooperative limit trips (event budget,
-//!   wall-time deadline) or a pool worker panics, the engine unwinds with
-//!   an [`Abort`] payload instead of a bare string, so the campaign layer
-//!   can map the failure onto a standardized exit reason without parsing
-//!   panic messages.
+//!   wall-time deadline), the engine unwinds with an [`Abort`] payload
+//!   instead of a bare string, so the campaign layer can map the failure
+//!   onto a standardized exit reason without parsing panic messages.
 //! * **Deterministic fault points** — test-only trapdoors, compiled in
 //!   behind the `fault-inject` feature and armed by a [`FaultPlan`], that
 //!   fire at *simulation-deterministic* checkpoints (the Nth non-tick
 //!   event, a vault poll, a stage digest) so an injected failure lands at
-//!   the same point for every `--jobs` / `--sim-threads` value.
+//!   the same point for every `--jobs` value.
 //!
 //! Without the `fault-inject` feature every fault point compiles to a
 //! no-op; aborts and limits are always live.
@@ -28,7 +27,9 @@ pub enum AbortReason {
     LimitEvents,
     /// The wall-time deadline passed at a cooperative checkpoint.
     LimitWallTime,
-    /// A worker (pool or injected) panicked.
+    /// A panic to report as `worker_panic`. The engine raises plain
+    /// panics (injected faults, model bugs), which the campaign layer
+    /// maps to the same exit reason.
     WorkerPanic,
 }
 
@@ -94,7 +95,7 @@ pub struct FaultPlan {
     pub stall_ms: u64,
     /// XOR a constant into this stage's recorded output digest.
     pub corrupt_digest_stage: Option<usize>,
-    /// Panic inside a vault poll (serial or pooled — same message).
+    /// Panic just before a vault poll.
     pub panic_in_vault_poll: bool,
     /// How many times the fault fires before disarming (`None` = every
     /// time). `Some(1)` exercises the campaign's bounded retry.
@@ -166,22 +167,6 @@ pub fn trip(handle: &FaultHandle, site: Site) {
 /// No-op: the `fault-inject` feature is disabled.
 #[cfg(not(feature = "fault-inject"))]
 pub fn trip(_handle: &FaultHandle, _site: Site) {}
-
-/// Whether an armed plan injects a panic into the next vault poll. The
-/// engine evaluates this once per tick batch — before choosing the
-/// serial or pooled path — so the failure (message included) is
-/// identical for every `sim_threads` value. Compiled to a constant
-/// `false` without the `fault-inject` feature.
-#[cfg(feature = "fault-inject")]
-pub fn vault_poll_boom(handle: Option<&FaultHandle>) -> bool {
-    handle.is_some_and(|h| h.plan.panic_in_vault_poll && h.arm())
-}
-
-/// Constant `false`: the `fault-inject` feature is disabled.
-#[cfg(not(feature = "fault-inject"))]
-pub fn vault_poll_boom(_handle: Option<&FaultHandle>) -> bool {
-    false
-}
 
 /// The XOR mask to fold into stage `stage`'s recorded output digest —
 /// zero unless an armed plan corrupts exactly that stage. Compiled to a

@@ -8,15 +8,13 @@
 //! * [`layout`] — the flat physical address space carved into per-vault
 //!   regions,
 //! * [`system`] — the machine model: cores, caches, meshes, SerDes links
-//!   and vault controllers in one deterministic event loop, including the
-//!   permutability handshake (`shuffle_begin`/`shuffle_end`, §5.3–§5.4),
-//! * [`pool`] — the persistent worker pool behind the deterministic
-//!   parallel event loop (`sim_threads`): simultaneous vault ticks poll
-//!   concurrently, continuations merge in serial pop order,
+//!   and vault controllers in one deterministic, single-threaded event
+//!   loop, including the permutability handshake
+//!   (`shuffle_begin`/`shuffle_end`, §5.3–§5.4),
 //! * [`experiment`] — the end-to-end driver running Scan/Sort/Group-by/Join
 //!   on any system and verifying results against reference implementations,
-//! * [`fault`] — structured aborts (cooperative limits, worker panics) and
-//!   deterministic fault injection behind the `fault-inject` feature.
+//! * [`fault`] — structured aborts (cooperative limits) and deterministic
+//!   fault injection behind the `fault-inject` feature.
 //!
 //! # Quickstart
 //!
@@ -32,6 +30,7 @@
 //! assert!(report.runtime_ps > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;
@@ -39,7 +38,6 @@ pub mod experiment;
 pub mod fault;
 pub mod layout;
 mod opexec;
-pub mod pool;
 pub mod system;
 
 pub use config::{PartitionSpec, SystemConfig, SystemKind};

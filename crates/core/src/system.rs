@@ -20,11 +20,6 @@ use mondrian_sim::{EventQueue, Stats, Time, PS_PER_NS};
 
 use crate::config::{PartitionSpec, SystemConfig};
 use crate::fault::{self, Abort, AbortReason};
-use crate::pool::TickPool;
-
-/// Smallest simultaneous-tick batch worth handing to the worker pool;
-/// below this the channel round-trips cost more than the polls.
-const MIN_PARALLEL_TICKS: usize = 2;
 
 /// Outcome of one executed phase.
 #[derive(Debug, Clone)]
@@ -45,9 +40,9 @@ pub struct PhaseOutcome {
     /// §5.4 exception path; non-zero values fail the phase).
     pub overflows: u64,
     /// Discrete events processed by the phase's event loop, excluding
-    /// vault ticks: the serial loop keeps popping tail ticks that the
-    /// parallel tail drain skips, so counting them would make the figure
-    /// depend on `sim_threads` and break artifact byte-identity.
+    /// vault ticks. `engine.events`, the `max_events` trip point and
+    /// `panic_at_event` are all defined over this count, and the
+    /// checked-in baselines pin it, so ticks stay out.
     pub events: u64,
 }
 
@@ -109,10 +104,8 @@ struct PhaseScratch {
     stalls: Vec<VecDeque<usize>>,
     handle_reqs: VecDeque<(usize, MemRequest)>,
     out_buf: Vec<MemRequest>,
-    /// The simultaneous-tick batch under assembly: `(vault, time)`.
-    tick_batch: Vec<(u32, Time)>,
-    /// Per-batch-slot completion buffers the tick polls write into.
-    tick_done: Vec<Vec<DramCompletion>>,
+    /// Completions of the vault tick being handled.
+    done: Vec<DramCompletion>,
 }
 
 impl PhaseScratch {
@@ -132,8 +125,7 @@ impl PhaseScratch {
         }
         self.handle_reqs.clear();
         self.out_buf.clear();
-        self.tick_batch.clear();
-        self.tick_done.resize_with(vaults, Vec::new);
+        self.done.clear();
     }
 }
 
@@ -158,9 +150,6 @@ pub struct Machine {
     perm_arrivals: HashMap<u32, Vec<(usize, u64)>>,
     /// Reusable per-phase buffers (allocation diet; see [`PhaseScratch`]).
     scratch: PhaseScratch,
-    /// Lazily spawned worker pool for batched vault ticks; lives for the
-    /// machine's lifetime once the first parallel batch appears.
-    tick_pool: Option<TickPool>,
     /// Cumulative non-tick events across every phase this machine has run
     /// — the deterministic clock the cooperative event budget and the
     /// `panic_at_event` fault point are measured against.
@@ -225,7 +214,6 @@ impl Machine {
             perm_bases: HashMap::new(),
             perm_arrivals: HashMap::new(),
             scratch: PhaseScratch::default(),
-            tick_pool: None,
             events_done: 0,
             stats: Stats::new(),
             cfg,
@@ -427,8 +415,7 @@ impl Machine {
             stalls,
             handle_reqs,
             out_buf,
-            tick_batch,
-            tick_done,
+            done,
         } = &mut scratch;
         let mut overflows: u64 = 0;
         let mut next_dram_id: u64 = 0;
@@ -440,10 +427,6 @@ impl Machine {
             }
         }
 
-        // VaultTick events currently in the queue; when every queued
-        // event is a tick, the phase has entered its tail drain.
-        let mut tick_events: usize = 0;
-
         // The borrow checker forbids neat closures over `self` here; the
         // loop body is written out imperatively instead.
         macro_rules! sched_vault {
@@ -452,7 +435,6 @@ impl Machine {
                 if let Some(t) = self.vaults[v].next_event_time() {
                     if $vt[v].is_none_or(|cur| t < cur) {
                         $vt[v] = Some(t);
-                        tick_events += 1;
                         $q.schedule(t, Ev::VaultTick($v as u32));
                     }
                 }
@@ -501,24 +483,6 @@ impl Machine {
                     sched_vault!(queue, vault_tick, v);
                 }
             }
-            // Parallel tail drain: once every core has finished, no core
-            // request is waiting on a response, and every in-flight DRAM
-            // op is fire-and-forget, the vaults can no longer interact —
-            // remaining traffic never crosses the mesh again. Each
-            // remaining command queue evolves independently, so with
-            // `sim_threads > 1` they drain on worker threads and merge
-            // deterministically by taking the latest per-vault finish
-            // (stats stay inside each controller, exported by global
-            // vault id as always). Byte-identical to the serial drain.
-            if self.cfg.sim_threads > 1
-                && handle_reqs.is_empty()
-                && queue.len() == tick_events
-                && cores.iter().all(|c| c.as_ref().is_none_or(Core::finished))
-                && vault_ops.values().all(|op| matches!(op, VaultOp::Fire))
-            {
-                end = end.max(self.parallel_tail_drain());
-                break;
-            }
             let Some((t, ev)) = queue.pop() else {
                 break;
             };
@@ -530,9 +494,7 @@ impl Machine {
                 events += 1;
                 self.events_done += 1;
                 // Cooperative checkpoints, measured against the cumulative
-                // non-tick event count: `VaultTick` events never count, so
-                // the trip point is the same simulated instant for every
-                // `sim_threads` value.
+                // non-tick event count.
                 crate::faultpoint!(self.cfg.fault, fault::Site::Event(self.events_done));
                 if let Some(budget) = self.cfg.event_budget {
                     if self.events_done > budget {
@@ -546,92 +508,34 @@ impl Machine {
             match ev {
                 Ev::Advance(i) => advance_core!(i),
                 Ev::VaultTick(v) => {
-                    tick_events -= 1;
                     vault_tick[v as usize] = None;
-                    // Collect the *contiguous* run of simultaneous ticks at
-                    // the head of the queue, one per distinct vault. A tick
-                    // for a vault already in the batch (a stale reschedule)
-                    // or any interleaved non-tick event ends the batch —
-                    // exactly where the serial loop's state could still
-                    // change between polls. A tick mutates only its own
-                    // vault, so the batch polls in parallel; continuations
-                    // then merge below in pop order, reproducing the serial
-                    // event stream — seq numbers included — bit for bit.
-                    tick_batch.clear();
-                    tick_batch.push((v, t));
-                    if self.cfg.sim_threads > 1 {
-                        while tick_batch.len() < self.vaults.len() {
-                            let next = queue.pop_if(|t2, ev| {
-                                t2 == t
-                                    && matches!(ev, Ev::VaultTick(w)
-                                        if tick_batch.iter().all(|&(b, _)| b != *w))
-                            });
-                            let Some((_, Ev::VaultTick(w))) = next else { break };
-                            guard += 1;
-                            tick_events -= 1;
-                            vault_tick[w as usize] = None;
-                            tick_batch.push((w, t));
-                        }
-                    }
-                    // One injection decision per batch, taken before the
-                    // serial/pooled split so the failure is identical for
-                    // every `sim_threads` value.
-                    let boom = fault::vault_poll_boom(self.cfg.fault.as_deref());
-                    if self.cfg.sim_threads > 1 && tick_batch.len() >= MIN_PARALLEL_TICKS {
-                        let pool = self
-                            .tick_pool
-                            .take()
-                            .unwrap_or_else(|| TickPool::new(self.cfg.sim_threads));
-                        let polled = pool.poll_batch(&mut self.vaults, tick_batch, tick_done, boom);
-                        self.tick_pool = Some(pool);
-                        if let Err(msg) = polled {
-                            // The pool survives (the batch drained), but
-                            // this run's state is torn: unwind with the
-                            // worker's own panic message.
-                            Abort::throw(AbortReason::WorkerPanic, msg);
-                        }
-                    } else {
-                        if boom {
-                            panic!("injected vault-poll fault");
-                        }
-                        for (k, &(w, tw)) in tick_batch.iter().enumerate() {
-                            self.vaults[w as usize].poll_into(tw, &mut tick_done[k]);
-                        }
-                    }
-                    // Deterministic merge: batch (pop) order, then each
-                    // vault's completion order — a stable
-                    // `(time, vault tick seq, dram completion)` ordering
-                    // identical to the serial loop's.
-                    for (k, &(w, _)) in tick_batch.iter().enumerate() {
-                        for c in &tick_done[k] {
-                            let op = vault_ops.remove(&c.id).expect("continuation registered");
-                            match op {
-                                VaultOp::Fire => {}
-                                VaultOp::StreamFill { pending: p } => {
-                                    let done_at = c.finish + PS_PER_NS;
-                                    queue.schedule(
-                                        done_at,
-                                        Ev::MemDone { pending: p, done: done_at },
-                                    );
-                                }
-                                VaultOp::L1Fill { core, line } => {
-                                    let back = self.route_from_vault(
-                                        w,
-                                        self.endpoint(core),
-                                        self.l1s[core].config().line_bytes,
-                                        c.finish,
-                                    );
-                                    queue.schedule(back, Ev::L1FillDone { core, line });
-                                }
-                                VaultOp::LlcFill { line } => {
-                                    let bytes = self.cfg.llc.line_bytes;
-                                    let back = self.route_from_vault(w, Ep::Cpu, bytes, c.finish);
-                                    queue.schedule(back, Ev::LlcFillDone { line });
-                                }
+                    crate::faultpoint!(self.cfg.fault, fault::Site::VaultPoll);
+                    self.vaults[v as usize].poll_into(t, done);
+                    for c in done.iter() {
+                        let op = vault_ops.remove(&c.id).expect("continuation registered");
+                        match op {
+                            VaultOp::Fire => {}
+                            VaultOp::StreamFill { pending: p } => {
+                                let done_at = c.finish + PS_PER_NS;
+                                queue.schedule(done_at, Ev::MemDone { pending: p, done: done_at });
+                            }
+                            VaultOp::L1Fill { core, line } => {
+                                let back = self.route_from_vault(
+                                    v,
+                                    self.endpoint(core),
+                                    self.l1s[core].config().line_bytes,
+                                    c.finish,
+                                );
+                                queue.schedule(back, Ev::L1FillDone { core, line });
+                            }
+                            VaultOp::LlcFill { line } => {
+                                let bytes = self.cfg.llc.line_bytes;
+                                let back = self.route_from_vault(v, Ep::Cpu, bytes, c.finish);
+                                queue.schedule(back, Ev::LlcFillDone { line });
                             }
                         }
-                        sched_vault!(queue, vault_tick, w);
                     }
+                    sched_vault!(queue, vault_tick, v);
                 }
                 Ev::MemDone { pending: p, done } => {
                     let core_id = pending[p].core;
@@ -716,44 +620,6 @@ impl Machine {
             return Err(overflows);
         }
         Ok(outcome)
-    }
-
-    /// Drains every busy vault to completion on up to `sim_threads`
-    /// worker threads and returns the latest completion time across all
-    /// of them. Only sound in the phase tail, when no completion needs a
-    /// continuation (see the caller's guard): each vault touches only its
-    /// own state, so the merged result does not depend on thread
-    /// scheduling.
-    fn parallel_tail_drain(&mut self) -> Time {
-        let mut busy: Vec<&mut VaultController> =
-            self.vaults.iter_mut().filter(|v| v.busy()).collect();
-        if busy.is_empty() {
-            return 0;
-        }
-        let chunk = busy.len().div_ceil(self.cfg.sim_threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = busy
-                .chunks_mut(chunk)
-                .map(|vaults| {
-                    scope.spawn(move || {
-                        let mut last: Time = 0;
-                        for v in vaults.iter_mut() {
-                            let mut now: Time = 0;
-                            while let Some(t) = v.next_event_time() {
-                                now = now.max(t);
-                                v.poll(now);
-                            }
-                            last = last.max(now);
-                        }
-                        last
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("vault drain thread panicked"))
-                .fold(0, Time::max)
-        })
     }
 
     /// Issues one core memory request into caches/network/vaults.

@@ -27,6 +27,7 @@
 //! point, where nearly every load is a 1-cycle stream-buffer hit and wide
 //! SIMD does the heavy lifting.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod core_model;

@@ -20,6 +20,7 @@
 //! row is consumed but 80% when only 8 B of it is used — so converting
 //! random accesses to sequential streams is an *energy* optimization first.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod model;

@@ -22,6 +22,7 @@
 //! [`DramRequest`]/[`DramCompletion`] pairs; the engine crate owns the event
 //! loop and polls [`VaultController::next_event_time`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod addr;

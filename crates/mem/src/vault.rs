@@ -157,10 +157,6 @@ impl SchedQueue {
         }
     }
 
-    fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     fn len(&self) -> usize {
         self.queue.len()
     }
@@ -529,8 +525,8 @@ impl VaultController {
     }
 
     /// [`Self::poll`] into a caller-owned buffer (cleared first), so hot
-    /// event loops reuse one allocation per vault instead of building a
-    /// fresh `Vec` on every tick.
+    /// event loops reuse one allocation instead of building a fresh `Vec`
+    /// on every tick.
     pub fn poll_into(&mut self, now: Time, done: &mut Vec<DramCompletion>) {
         done.clear();
         self.try_issue(now);
@@ -554,11 +550,6 @@ impl VaultController {
             }
         }
         next
-    }
-
-    /// Whether requests are queued or in flight.
-    pub fn busy(&self) -> bool {
-        !self.reads.is_empty() || !self.writes.is_empty() || !self.completions.is_empty()
     }
 
     /// Event counters.
@@ -813,7 +804,6 @@ mod tests {
         let done = drain(&mut v);
         assert_eq!(done.len(), 1);
         assert_eq!(v.next_event_time(), None);
-        assert!(!v.busy());
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! bottlenecks (e.g. the SerDes links capping Mondrian's partitioning
 //! throughput, §7.1).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod mesh;

@@ -16,6 +16,7 @@
 //! * [`ProgressSink`] — the hook surface (stage started/finished, wave
 //!   completed, sweep point done) the CLI wires to `--progress jsonl`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod counters;

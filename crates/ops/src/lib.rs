@@ -35,6 +35,7 @@
 //! mapping, [`spark`]) and Table 2 (per-operator phase structure,
 //! [`phases`]).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod agg;

@@ -207,16 +207,13 @@ impl Pipeline {
 
         // Serial reference pass: every stage on the whole machine, in
         // stage order. The branch schedule is verified against (and its
-        // inputs resolved from) these outputs. With `threads > 1` the
-        // pure reference executor for a stage runs concurrently with the
-        // stage's engine simulation — they consume the same inputs and
-        // only meet at the final comparison.
+        // inputs resolved from) these outputs.
         let mut outputs: Vec<Rel> = Vec::new();
         let mut serial: Vec<StageRun> = Vec::new();
         // Non-tick events consumed by completed stages: the run-wide
         // `max_events` budget is metered here, at stage boundaries, and
         // the in-flight stage's remainder is enforced inside its own
-        // event loop — both counts are `sim_threads`-invariant.
+        // event loop.
         let mut events_used: u64 = 0;
         for (i, stage) in self.stages.iter().enumerate() {
             check_deadline(cfg);
@@ -253,30 +250,9 @@ impl Pipeline {
             } else {
                 let mut sys = cfg.system_config();
                 sys.event_budget = remaining_budget;
-                let run = if cfg.threads > 1 {
-                    std::thread::scope(|scope| {
-                        let sys = sys.clone();
-                        let engine = scope.spawn(|| {
-                            run_stage_engine(cfg, sys, stage, inputs.clone(), build.clone(), None)
-                        });
-                        let expected =
-                            cache.reference_output(cfg, stage, &inputs, build.as_deref());
-                        // Propagate the engine thread's panic *payload* —
-                        // structured aborts (limits, injected faults) must
-                        // reach the campaign's catch_unwind intact.
-                        let mut run = match engine.join() {
-                            Ok(run) => run,
-                            Err(payload) => std::panic::resume_unwind(payload),
-                        };
-                        run.reference_ok = run.projected[..] == expected[..];
-                        run
-                    })
-                } else {
-                    let expected = cache.reference_output(cfg, stage, &inputs, build.as_deref());
-                    let mut run = run_stage_engine(cfg, sys, stage, inputs.clone(), build, None);
-                    run.reference_ok = run.projected[..] == expected[..];
-                    run
-                };
+                let expected = cache.reference_output(cfg, stage, &inputs, build.as_deref());
+                let mut run = run_stage_engine(cfg, sys, stage, inputs.clone(), build, None);
+                run.reference_ok = run.projected[..] == expected[..];
                 if let Some(key) = &stage_key {
                     cache.save_stage_run(key, &run);
                 }
@@ -428,25 +404,20 @@ impl Pipeline {
             // simulation of each branch is self-contained and
             // deterministic, so the merged result is byte-identical to
             // the in-order execution regardless of thread scheduling.
-            let run_branch = |slot: usize, b: usize, sim_threads: usize| -> Vec<StageRun> {
+            let run_branch = |slot: usize, b: usize| -> Vec<StageRun> {
                 dag.branches[b]
                     .iter()
                     .map(|&i| {
                         let stage = &self.stages[i];
                         let inputs = resolve_inputs(stage, i, source, outputs);
                         let build = resolve_build(&stage.spec, outputs);
-                        let mut sys = base.restrict(leases[slot]);
-                        sys.sim_threads = sim_threads;
+                        let sys = base.restrict(leases[slot]);
                         run_stage_engine(cfg, sys, stage, inputs, build, None)
                     })
                     .collect()
             };
             let branch_runs: Vec<Vec<StageRun>> = if cfg.threads > 1 {
-                // Branch-level threads spend the whole per-run budget:
-                // their machines drain serially (sim_threads = 1) and at
-                // most `cfg.threads` branches run at once, so the run's
-                // OS-thread total is bounded by `cfg.threads` instead of
-                // multiplying wave width by drain threads. Slots are
+                // At most `cfg.threads` branches run at once. Slots are
                 // handed out through a work-stealing queue — the old
                 // chunked barrier stalled a whole chunk on its slowest
                 // branch — and the merge assembles by slot position, so
@@ -464,7 +435,7 @@ impl Pipeline {
                         let run_branch = &run_branch;
                         scope.spawn(move || {
                             while let Some(slot) = queue.pop(w) {
-                                let out = run_branch(slot, wave_branches[slot], 1);
+                                let out = run_branch(slot, wave_branches[slot]);
                                 slots.lock().expect("branch worker panicked")[slot] = Some(out);
                             }
                         });
@@ -472,9 +443,7 @@ impl Pipeline {
                 });
                 runs.into_iter().map(|r| r.expect("every slot executed")).collect()
             } else {
-                (0..wave_branches.len())
-                    .map(|slot| run_branch(slot, wave_branches[slot], 1))
-                    .collect()
+                (0..wave_branches.len()).map(|slot| run_branch(slot, wave_branches[slot])).collect()
             };
             let mut branch_runs = branch_runs;
             for (slot, &b) in wave_branches.iter().enumerate() {
@@ -817,9 +786,7 @@ impl Pipeline {
                         .iter()
                         .position(|b| b.branch == dag.branch_of[consumer])
                         .expect("consumer's branch is in its wave");
-                    let mut sys = base.restrict(leases[slot]);
-                    sys.sim_threads = 1;
-                    sys
+                    base.restrict(leases[slot])
                 }
                 None => cfg.system_config(),
             };
@@ -1576,24 +1543,15 @@ pub struct PipelineConfig {
     pub underprovision: Option<f64>,
     /// How to schedule the stages onto the machine.
     pub concurrency: Concurrency,
-    /// OS threads the executor may use *within* this run: branch waves
-    /// execute their leased branches on real threads, each stage's pure
-    /// reference executor overlaps with its engine simulation, and the
-    /// machine drains independent vault command queues in parallel.
-    /// Purely an execution-speed knob — results are byte-identical for
-    /// every value (1 = fully in-order execution).
+    /// OS threads the branch and stream schedulers may use *within* this
+    /// run: waves with several leased branches execute them on up to
+    /// this many threads. Purely an execution-speed knob — results are
+    /// byte-identical for every value (1 = fully in-order execution).
     pub threads: usize,
-    /// Host threads for the *engine event loop itself*: batches of
-    /// simultaneous vault ticks poll in parallel and the phase tail
-    /// drains as a parallel sweep. `0` (the default) follows
-    /// [`PipelineConfig::threads`]; any other value pins the engine
-    /// thread count independently of the executor's. Execution-speed
-    /// only — artifacts are byte-identical for every value.
-    pub sim_threads: usize,
     /// Cooperative non-tick event budget for the whole run, metered over
     /// the serial reference pass (stage boundaries plus the in-flight
     /// stage's own event loop). Exceeding it unwinds with a structured
-    /// `limit_events` abort at a `sim_threads`-invariant point. Branch
+    /// `limit_events` abort. Branch
     /// and stream re-executions are alternative timing models of work
     /// the serial pass already paid for, so they are not re-budgeted.
     pub max_events: Option<u64>,
@@ -1620,7 +1578,6 @@ impl PipelineConfig {
             underprovision: None,
             concurrency: Concurrency::Serial,
             threads: 1,
-            sim_threads: 0,
             max_events: None,
             deadline: None,
             fault: None,
@@ -1641,7 +1598,6 @@ impl PipelineConfig {
         };
         cfg.tuples_per_vault = self.tuples_per_vault;
         cfg.seed = self.seed;
-        cfg.sim_threads = if self.sim_threads > 0 { self.sim_threads } else { self.threads }.max(1);
         cfg.fault = self.fault.clone();
         cfg
     }

@@ -53,6 +53,7 @@
 //! assert_eq!(report.stages.len(), 3);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod exec;

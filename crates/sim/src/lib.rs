@@ -32,6 +32,7 @@
 //! assert_eq!((t, ev), (2_000, "two"));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod clock;

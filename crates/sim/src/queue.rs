@@ -73,20 +73,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|Reverse(e)| (e.time, e.event))
     }
 
-    /// Removes and returns the earliest event only when `pred` accepts it;
-    /// otherwise the queue is untouched. Engines use this to collect a
-    /// *contiguous* run of events (e.g. every simultaneous vault tick at
-    /// the head of the queue) without disturbing the FIFO tie-break of
-    /// whatever follows.
-    pub fn pop_if(&mut self, pred: impl FnOnce(Time, &E) -> bool) -> Option<(Time, E)> {
-        let Reverse(head) = self.heap.peek()?;
-        if pred(head.time, &head.event) {
-            self.heap.pop().map(|Reverse(e)| (e.time, e.event))
-        } else {
-            None
-        }
-    }
-
     /// The timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<Time> {
         self.heap.peek().map(|Reverse(e)| e.time)
@@ -145,22 +131,6 @@ mod tests {
         q.schedule(41, ());
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(41));
-    }
-
-    #[test]
-    fn pop_if_takes_only_accepted_heads() {
-        let mut q = EventQueue::new();
-        q.schedule(10, "a");
-        q.schedule(10, "b");
-        q.schedule(20, "c");
-        // Contiguous same-time prefix pops; the rejected head stays put.
-        assert_eq!(q.pop_if(|t, _| t == 10), Some((10, "a")));
-        assert_eq!(q.pop_if(|t, e| t == 10 && *e != "b"), None);
-        assert_eq!(q.len(), 2, "rejection must not consume the head");
-        assert_eq!(q.pop_if(|t, _| t == 10), Some((10, "b")));
-        assert_eq!(q.pop_if(|t, _| t == 10), None);
-        assert_eq!(q.pop(), Some((20, "c")));
-        assert_eq!(q.pop_if(|_, _| true), None, "empty queue");
     }
 
     #[test]

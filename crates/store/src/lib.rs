@@ -24,6 +24,7 @@
 //!
 //! [`ExecCache`]: mondrian_pipeline::ExecCache
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod codec;
@@ -149,7 +150,7 @@ pub struct Store {
     generation: u64,
     /// Entry file names touched (saved or hit) this session, flushed to
     /// the journal sorted — so journal content is deterministic for any
-    /// `--jobs`/`--sim-threads` value.
+    /// `--jobs` value.
     touched: Mutex<BTreeSet<String>>,
     run_hits: AtomicU64,
     run_misses: AtomicU64,

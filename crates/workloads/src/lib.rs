@@ -13,6 +13,7 @@
 //! skewed keys for the skew-handling extension the paper defers to future
 //! work (§5.4).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod gen;

@@ -34,6 +34,8 @@
 //! assert!(report.runtime_ps > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use mondrian_cache as cache;
 pub use mondrian_core as engine;
 pub use mondrian_cores as cores;
