@@ -104,13 +104,16 @@ impl DiffReport {
         for k in &self.only_b {
             out.push_str(&format!("{k:<56} only in B\n"));
         }
-        if let Some(worst) =
-            self.rows.iter().max_by(|a, b| a.regression_pct().total_cmp(&b.regression_pct()))
+        let by_speedup = |a: &&DiffRow, b: &&DiffRow| a.speedup().total_cmp(&b.speedup());
+        if let (Some(best), Some(worst)) =
+            (self.rows.iter().max_by(by_speedup), self.rows.iter().min_by(by_speedup))
         {
             out.push_str(&format!(
-                "{} matched runs; worst makespan regression {:+.2}% ({})\n",
+                "{} matched runs; best speedup {:.3}x ({}); worst speedup {:.3}x ({})\n",
                 self.rows.len(),
-                worst.regression_pct(),
+                best.speedup(),
+                best.key,
+                worst.speedup(),
                 worst.key,
             ));
         }
@@ -208,10 +211,21 @@ mod tests {
     use super::*;
 
     fn artifact(makespan: i64, seed: i64) -> String {
-        format!(
-            r#"{{"runs": [{{"system": "CPU", "topology": "tiny", "tuples_per_vault": 64,
-                "seed": {seed}, "makespan_ps": {makespan}, "energy_j": 1e-6}}]}}"#
-        )
+        artifact_runs(&[(makespan, seed)])
+    }
+
+    /// An artifact with one CPU run per `(makespan, seed)` pair.
+    fn artifact_runs(runs: &[(i64, i64)]) -> String {
+        let runs: Vec<String> = runs
+            .iter()
+            .map(|&(makespan, seed)| {
+                format!(
+                    r#"{{"system": "CPU", "topology": "tiny", "tuples_per_vault": 64,
+                    "seed": {seed}, "makespan_ps": {makespan}, "energy_j": 1e-6}}"#
+                )
+            })
+            .collect();
+        format!(r#"{{"runs": [{}]}}"#, runs.join(", "))
     }
 
     #[test]
@@ -221,6 +235,38 @@ mod tests {
         assert!((report.rows[0].speedup() - 2.0).abs() < 1e-9);
         assert!(report.max_regression_pct() < 0.0, "B is faster, no regression");
         assert!(report.render().contains("speedup"));
+    }
+
+    fn summary_line(report: &DiffReport) -> String {
+        report.render().lines().last().expect("a summary line").to_string()
+    }
+
+    #[test]
+    fn summary_names_best_and_worst_speedup() {
+        let key = |seed| format!("system=CPU topology=tiny tuples_per_vault=64 seed={seed}");
+        // Every run faster: no "regression" wording.
+        let a = artifact_runs(&[(2_000_000, 1), (3_000_000, 2)]);
+        let b = artifact_runs(&[(1_000_000, 1), (2_000_000, 2)]);
+        let report = diff(&a, &b).unwrap();
+        assert_eq!(
+            summary_line(&report),
+            format!(
+                "2 matched runs; best speedup 2.000x ({}); worst speedup 1.500x ({})",
+                key(1),
+                key(2)
+            )
+        );
+        // One faster, one slower.
+        let b = artifact_runs(&[(1_000_000, 1), (1_250_000, 2)]);
+        let report = diff(&artifact_runs(&[(2_000_000, 1), (1_000_000, 2)]), &b).unwrap();
+        assert_eq!(
+            summary_line(&report),
+            format!(
+                "2 matched runs; best speedup 2.000x ({}); worst speedup 0.800x ({})",
+                key(1),
+                key(2)
+            )
+        );
     }
 
     #[test]

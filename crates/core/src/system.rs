@@ -13,7 +13,8 @@ use std::collections::{HashMap, VecDeque};
 use mondrian_cache::{Cache, Lookup, NextLinePrefetcher};
 use mondrian_cores::{Core, CoreStatus, Kernel, MemKind, MemRequest, StoreKind};
 use mondrian_mem::{
-    AccessKind, AddressMap, DramCompletion, DramRequest, PermutableRegion, VaultController,
+    AccessKind, AddressMap, DramCompletion, DramRequest, PermutableOverflow, PermutableRegion,
+    VaultController,
 };
 use mondrian_noc::{Mesh, MeshStats, SerDesLink, SerDesStats};
 use mondrian_sim::{EventQueue, Stats, Time, PS_PER_NS};
@@ -93,11 +94,12 @@ enum Ev {
 /// Reusable per-phase working state. `run_phase` used to rebuild every one
 /// of these maps, queues and buffers on each phase; operators run many
 /// short phases per stage, so the machine now owns a single copy that is
-/// cleared — capacity retained — at phase entry.
+/// cleared — capacity retained — at phase entry. The DRAM continuations
+/// and the touched-vault list are per-phase too, but live on the machine
+/// itself, where [`Machine::enqueue_dram`] reaches them.
 #[derive(Debug, Default)]
 struct PhaseScratch {
     pending: Vec<Pending>,
-    vault_ops: HashMap<u64, VaultOp>,
     vault_tick: Vec<Option<Time>>,
     l1_waiters: Vec<HashMap<u64, Vec<usize>>>,
     llc_waiters: HashMap<u64, Vec<(usize, u64)>>,
@@ -111,7 +113,6 @@ struct PhaseScratch {
 impl PhaseScratch {
     fn reset(&mut self, vaults: usize, units: usize) {
         self.pending.clear();
-        self.vault_ops.clear();
         self.vault_tick.clear();
         self.vault_tick.resize(vaults, None);
         self.l1_waiters.resize_with(units, HashMap::new);
@@ -150,6 +151,14 @@ pub struct Machine {
     perm_arrivals: HashMap<u32, Vec<(usize, u64)>>,
     /// Reusable per-phase buffers (allocation diet; see [`PhaseScratch`]).
     scratch: PhaseScratch,
+    /// Continuation of every DRAM request of the running phase, indexed by
+    /// its dense per-phase id and taken when the request completes. `None`
+    /// marks an id whose permutable write overflowed.
+    vault_ops: Vec<Option<VaultOp>>,
+    /// Vaults enqueued into since the event loop last rescheduled vault
+    /// ticks. Only these can need an earlier tick, so the loop rescans
+    /// them instead of every vault.
+    touched_vaults: Vec<u32>,
     /// Cumulative non-tick events across every phase this machine has run
     /// — the deterministic clock the cooperative event budget and the
     /// `panic_at_event` fault point are measured against.
@@ -214,6 +223,8 @@ impl Machine {
             perm_bases: HashMap::new(),
             perm_arrivals: HashMap::new(),
             scratch: PhaseScratch::default(),
+            vault_ops: Vec::new(),
+            touched_vaults: Vec::new(),
             events_done: 0,
             stats: Stats::new(),
             cfg,
@@ -371,6 +382,12 @@ impl Machine {
     /// Runs one phase: `kernels[i]` executes on compute unit `i` (`None`
     /// idles the unit).
     ///
+    /// After each batch of core requests the loop reschedules only the
+    /// vaults that batch enqueued into (`touched_vaults`), in ascending
+    /// order — the order a scan of every vault would schedule them in. Any
+    /// other vault's next event can only move through its own tick, which
+    /// reschedules it.
+    ///
     /// # Errors
     ///
     /// Returns the number of dropped permutable writes if any destination
@@ -406,9 +423,10 @@ impl Machine {
         // as disjoint from `self` inside the loop, and restored at exit.
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.reset(self.vaults.len(), self.l1s.len());
+        self.vault_ops.clear();
+        self.touched_vaults.clear();
         let PhaseScratch {
             pending,
-            vault_ops,
             vault_tick,
             l1_waiters,
             llc_waiters,
@@ -418,7 +436,6 @@ impl Machine {
             done,
         } = &mut scratch;
         let mut overflows: u64 = 0;
-        let mut next_dram_id: u64 = 0;
         let mut end = start;
 
         for (i, c) in cores.iter().enumerate() {
@@ -470,18 +487,28 @@ impl Machine {
                         req,
                         &mut queue,
                         pending,
-                        vault_ops,
                         l1_waiters,
                         llc_waiters,
                         stalls,
                         &mut overflows,
-                        &mut next_dram_id,
                     );
                 }
-                // Vault state may have changed.
-                for v in 0..self.vaults.len() {
+                // Only the vaults just enqueued into can need an earlier
+                // tick.
+                let mut touched = std::mem::take(&mut self.touched_vaults);
+                touched.sort_unstable();
+                touched.dedup();
+                for &v in &touched {
                     sched_vault!(queue, vault_tick, v);
                 }
+                touched.clear();
+                self.touched_vaults = touched;
+                debug_assert!(
+                    self.vaults.iter().zip(vault_tick.iter()).all(|(vault, tick)| {
+                        vault.next_event_time().is_none_or(|t| tick.is_some_and(|cur| cur <= t))
+                    }),
+                    "a vault outside the touched set needs an earlier tick in phase {label}"
+                );
             }
             let Some((t, ev)) = queue.pop() else {
                 break;
@@ -512,7 +539,8 @@ impl Machine {
                     crate::faultpoint!(self.cfg.fault, fault::Site::VaultPoll);
                     self.vaults[v as usize].poll_into(t, done);
                     for c in done.iter() {
-                        let op = vault_ops.remove(&c.id).expect("continuation registered");
+                        let op =
+                            self.vault_ops[c.id as usize].take().expect("continuation registered");
                         match op {
                             VaultOp::Fire => {}
                             VaultOp::StreamFill { pending: p } => {
@@ -630,29 +658,17 @@ impl Machine {
         req: MemRequest,
         queue: &mut EventQueue<Ev>,
         pending: &mut Vec<Pending>,
-        vault_ops: &mut HashMap<u64, VaultOp>,
         l1_waiters: &mut [HashMap<u64, Vec<usize>>],
         llc_waiters: &mut HashMap<u64, Vec<(usize, u64)>>,
         stalls: &mut [VecDeque<usize>],
         overflows: &mut u64,
-        next_dram_id: &mut u64,
     ) {
         let t = req.issue_at;
         match req.kind {
             MemKind::Load | MemKind::Store(StoreKind::Cached) => {
                 let p = pending.len();
                 pending.push(Pending { core, req });
-                self.cached_access(
-                    core,
-                    p,
-                    req,
-                    queue,
-                    vault_ops,
-                    l1_waiters,
-                    llc_waiters,
-                    stalls,
-                    next_dram_id,
-                );
+                self.cached_access(core, p, req, queue, l1_waiters, llc_waiters, stalls);
             }
             MemKind::Store(StoreKind::Streaming) => {
                 let p = pending.len();
@@ -673,14 +689,9 @@ impl Machine {
                 while addr < end {
                     let row_end = (addr / row_bytes + 1) * row_bytes;
                     let chunk = end.min(row_end) - addr;
-                    let id = *next_dram_id;
-                    *next_dram_id += 1;
-                    let dreq =
-                        DramRequest { id, addr, bytes: chunk as u32, kind: AccessKind::Write };
-                    self.vaults[vault as usize]
-                        .enqueue(dreq, arr)
+                    let bytes = chunk as u32;
+                    self.enqueue_dram(vault, addr, bytes, AccessKind::Write, arr, VaultOp::Fire)
                         .expect("plain writes cannot overflow");
-                    vault_ops.insert(id, VaultOp::Fire);
                     addr += chunk;
                 }
             }
@@ -689,23 +700,13 @@ impl Machine {
                 // sequence (see the core model).
                 let seq = req.addr;
                 let arr = self.route_to_vault(self.endpoint(core), dst_vault, req.bytes, t);
-                let id = *next_dram_id;
-                *next_dram_id += 1;
                 let base = *self
                     .perm_bases
                     .get(&dst_vault)
                     .expect("permutable store outside an active shuffle");
-                let dreq = DramRequest {
-                    id,
-                    addr: base,
-                    bytes: req.bytes,
-                    kind: AccessKind::PermutableWrite,
-                };
-                match self.vaults[dst_vault as usize].enqueue(dreq, arr) {
-                    Ok(()) => {
-                        vault_ops.insert(id, VaultOp::Fire);
-                        self.perm_arrivals.entry(dst_vault).or_default().push((core, seq));
-                    }
+                let kind = AccessKind::PermutableWrite;
+                match self.enqueue_dram(dst_vault, base, req.bytes, kind, arr, VaultOp::Fire) {
+                    Ok(()) => self.perm_arrivals.entry(dst_vault).or_default().push((core, seq)),
                     Err(_) => *overflows += 1,
                 }
             }
@@ -717,18 +718,30 @@ impl Machine {
                     vault, core as u32,
                     "stream buffers prefetch from the local vault only"
                 );
-                let id = *next_dram_id;
-                *next_dram_id += 1;
-                let dreq =
-                    DramRequest { id, addr: req.addr, bytes: req.bytes, kind: AccessKind::Read };
-                match self.vaults[vault as usize].enqueue(dreq, t + PS_PER_NS) {
-                    Ok(()) => {
-                        vault_ops.insert(id, VaultOp::StreamFill { pending: p });
-                    }
-                    Err(_) => unreachable!("reads cannot overflow"),
-                }
+                let op = VaultOp::StreamFill { pending: p };
+                self.enqueue_dram(vault, req.addr, req.bytes, AccessKind::Read, t + PS_PER_NS, op)
+                    .expect("reads cannot overflow");
             }
         }
+    }
+
+    /// Enqueues a DRAM request into vault `vault` under the next per-phase
+    /// id, registers its continuation `op` and marks the vault touched.
+    /// Every vault enqueue in the engine goes through here.
+    fn enqueue_dram(
+        &mut self,
+        vault: u32,
+        addr: u64,
+        bytes: u32,
+        kind: AccessKind,
+        at: Time,
+        op: VaultOp,
+    ) -> Result<(), PermutableOverflow> {
+        let id = self.vault_ops.len() as u64;
+        let res = self.vaults[vault as usize].enqueue(DramRequest { id, addr, bytes, kind }, at);
+        self.vault_ops.push(res.is_ok().then_some(op));
+        self.touched_vaults.push(vault);
+        res
     }
 
     /// A cacheable load/store works its way through L1 (and the LLC on the
@@ -740,11 +753,9 @@ impl Machine {
         p: usize,
         req: MemRequest,
         queue: &mut EventQueue<Ev>,
-        vault_ops: &mut HashMap<u64, VaultOp>,
         l1_waiters: &mut [HashMap<u64, Vec<usize>>],
         llc_waiters: &mut HashMap<u64, Vec<(usize, u64)>>,
         stalls: &mut [VecDeque<usize>],
-        next_dram_id: &mut u64,
     ) {
         let is_write = matches!(req.kind, MemKind::Store(_));
         let core_period = self.cfg.kind.core_config().clock.period_ps();
@@ -763,29 +774,11 @@ impl Machine {
                     return;
                 }
                 l1_waiters[core].entry(line).or_default().push(p);
-                self.start_l1_fill(
-                    core,
-                    line,
-                    t_hit,
-                    false,
-                    queue,
-                    vault_ops,
-                    llc_waiters,
-                    next_dram_id,
-                );
+                self.start_l1_fill(core, line, t_hit, false, queue, llc_waiters);
                 // Next-line prefetcher reacts to the demand miss.
                 for cand in self.prefetcher.candidates(req.addr) {
                     if self.l1s[core].can_begin_fill(cand) {
-                        self.start_l1_fill(
-                            core,
-                            cand,
-                            t_hit,
-                            true,
-                            queue,
-                            vault_ops,
-                            llc_waiters,
-                            next_dram_id,
-                        );
+                        self.start_l1_fill(core, cand, t_hit, true, queue, llc_waiters);
                     }
                 }
             }
@@ -794,7 +787,6 @@ impl Machine {
 
     /// Starts an L1 line fill (demand or prefetch) and pushes it down the
     /// hierarchy.
-    #[allow(clippy::too_many_arguments)]
     fn start_l1_fill(
         &mut self,
         core: usize,
@@ -802,14 +794,12 @@ impl Machine {
         t: Time,
         prefetch: bool,
         queue: &mut EventQueue<Ev>,
-        vault_ops: &mut HashMap<u64, VaultOp>,
         llc_waiters: &mut HashMap<u64, Vec<(usize, u64)>>,
-        next_dram_id: &mut u64,
     ) {
         let line_bytes = self.l1s[core].config().line_bytes;
         let fill = self.l1s[core].begin_fill(line, prefetch);
         if let Some(wb) = fill.writeback {
-            self.writeback(core, wb, line_bytes, t, vault_ops, next_dram_id);
+            self.writeback(core, wb, line_bytes, t);
         }
         if self.llc.is_some() {
             // CPU system: consult the shared LLC.
@@ -828,90 +818,57 @@ impl Machine {
                     // set exhausted), fetch the line from memory directly
                     // without allocating it in the LLC.
                     if !llc.can_begin_fill(line) {
-                        self.memory_read_for_l1(core, line, t_llc, vault_ops, next_dram_id);
+                        self.memory_read_for_l1(core, line, t_llc);
                         return;
                     }
                     let fill = llc.begin_fill(line, false);
                     llc_waiters.entry(line).or_default().push((core, line));
+                    let bytes = self.cfg.llc.line_bytes;
                     if let Some(wb) = fill.writeback {
-                        let bytes = self.cfg.llc.line_bytes;
-                        self.writeback_from_cpu(wb, bytes, t_llc, vault_ops, next_dram_id);
+                        self.writeback_from_cpu(wb, bytes, t_llc);
                     }
                     let vault = self.map.vault_of(line);
                     let arr = self.route_to_vault(Ep::Cpu, vault, 8, t_llc);
-                    let id = *next_dram_id;
-                    *next_dram_id += 1;
-                    let bytes = self.cfg.llc.line_bytes;
-                    let dreq = DramRequest { id, addr: line, bytes, kind: AccessKind::Read };
-                    self.vaults[vault as usize].enqueue(dreq, arr).expect("reads cannot overflow");
-                    vault_ops.insert(id, VaultOp::LlcFill { line });
+                    let op = VaultOp::LlcFill { line };
+                    self.enqueue_dram(vault, line, bytes, AccessKind::Read, arr, op)
+                        .expect("reads cannot overflow");
                 }
             }
         } else {
             // NMP systems: L1 misses go straight to DRAM.
-            self.memory_read_for_l1(core, line, t, vault_ops, next_dram_id);
+            self.memory_read_for_l1(core, line, t);
         }
     }
 
-    fn memory_read_for_l1(
-        &mut self,
-        core: usize,
-        line: u64,
-        t: Time,
-        vault_ops: &mut HashMap<u64, VaultOp>,
-        next_dram_id: &mut u64,
-    ) {
+    fn memory_read_for_l1(&mut self, core: usize, line: u64, t: Time) {
         let vault = self.map.vault_of(line);
         let arr = self.route_to_vault(self.endpoint(core), vault, 8, t);
-        let id = *next_dram_id;
-        *next_dram_id += 1;
         let bytes = self.l1s[core].config().line_bytes;
-        let dreq = DramRequest { id, addr: line, bytes, kind: AccessKind::Read };
-        self.vaults[vault as usize].enqueue(dreq, arr).expect("reads cannot overflow");
-        vault_ops.insert(id, VaultOp::L1Fill { core, line });
+        let op = VaultOp::L1Fill { core, line };
+        self.enqueue_dram(vault, line, bytes, AccessKind::Read, arr, op)
+            .expect("reads cannot overflow");
     }
 
-    fn writeback(
-        &mut self,
-        core: usize,
-        addr: u64,
-        bytes: u32,
-        t: Time,
-        vault_ops: &mut HashMap<u64, VaultOp>,
-        next_dram_id: &mut u64,
-    ) {
+    fn writeback(&mut self, core: usize, addr: u64, bytes: u32, t: Time) {
         if let Some(llc) = self.llc.as_mut() {
             // CPU: L1 writebacks land in the LLC when it holds the line.
             if let Lookup::Hit = llc.lookup(addr, true) {
                 return;
             }
-            self.writeback_from_cpu(addr, bytes, t, vault_ops, next_dram_id);
+            self.writeback_from_cpu(addr, bytes, t);
         } else {
             let vault = self.map.vault_of(addr);
             let arr = self.route_to_vault(self.endpoint(core), vault, bytes, t);
-            let id = *next_dram_id;
-            *next_dram_id += 1;
-            let dreq = DramRequest { id, addr, bytes, kind: AccessKind::Write };
-            self.vaults[vault as usize].enqueue(dreq, arr).expect("writes fit");
-            vault_ops.insert(id, VaultOp::Fire);
+            self.enqueue_dram(vault, addr, bytes, AccessKind::Write, arr, VaultOp::Fire)
+                .expect("writes fit");
         }
     }
 
-    fn writeback_from_cpu(
-        &mut self,
-        addr: u64,
-        bytes: u32,
-        t: Time,
-        vault_ops: &mut HashMap<u64, VaultOp>,
-        next_dram_id: &mut u64,
-    ) {
+    fn writeback_from_cpu(&mut self, addr: u64, bytes: u32, t: Time) {
         let vault = self.map.vault_of(addr);
         let arr = self.route_to_vault(Ep::Cpu, vault, bytes, t);
-        let id = *next_dram_id;
-        *next_dram_id += 1;
-        let dreq = DramRequest { id, addr, bytes, kind: AccessKind::Write };
-        self.vaults[vault as usize].enqueue(dreq, arr).expect("writes fit");
-        vault_ops.insert(id, VaultOp::Fire);
+        self.enqueue_dram(vault, addr, bytes, AccessKind::Write, arr, VaultOp::Fire)
+            .expect("writes fit");
     }
 
     /// Exports all component statistics into one registry and returns it.
