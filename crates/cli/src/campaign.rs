@@ -739,10 +739,14 @@ impl Campaign {
         root.insert("stages", Value::Array(self.manifest.stages.iter().map(stage_json).collect()));
         root.insert("verified", Value::Bool(self.verified()));
         root.insert("memo_hits", Value::Int(self.memo_hits as i64));
+        // Each run's rollup is computed once: it feeds both the campaign
+        // total and the run's own `metrics` block.
+        let run_rollups: Vec<Option<Counters>> =
+            self.runs.iter().map(|run| run.report.as_ref().map(run_metrics)).collect();
         let mut rollup = Counters::new();
-        for run in &self.runs {
-            if let Some(report) = &run.report {
-                rollup.merge(&run_metrics(report));
+        for (run, metrics) in self.runs.iter().zip(&run_rollups) {
+            if let Some(metrics) = metrics {
+                rollup.merge(metrics);
             }
             rollup.add_count(&mondrian_obs::exit_counter_key(run.exit.reason.as_str()), 1);
         }
@@ -766,7 +770,8 @@ impl Campaign {
             }
         }
         root.insert("metrics", metrics_json(&rollup));
-        root.insert("runs", Value::Array(self.runs.iter().map(|r| run_json(r, timings)).collect()));
+        let runs = self.runs.iter().zip(run_rollups).map(|(r, m)| run_json(r, m, timings));
+        root.insert("runs", Value::Array(runs.collect()));
         root.to_json()
     }
 
@@ -949,7 +954,8 @@ fn metrics_json(counters: &Counters) -> Value {
     Value::Table(groups.into_iter().map(|(g, t)| (g, Value::Table(t))).collect())
 }
 
-fn run_json(run: &CampaignRun, timings: bool) -> Value {
+/// One run's artifact entry; `metrics` is [`run_metrics`] of its report.
+fn run_json(run: &CampaignRun, metrics: Option<Counters>, timings: bool) -> Value {
     let mut table = Value::table();
     table.insert("system", Value::Str(run.spec.system.name().to_string()));
     table.insert("topology", Value::Str(if run.spec.tiny { "tiny" } else { "scaled" }.to_string()));
@@ -973,11 +979,10 @@ fn run_json(run: &CampaignRun, timings: bool) -> Value {
     }
     // A skipped or lost run keeps its sweep axes and exit — a valid
     // partial artifact — but has no simulation output to serialize.
-    let Some(report) = &run.report else {
+    let Some((report, mut metrics)) = run.report.as_ref().zip(metrics) else {
         table.insert("skipped", Value::Bool(true));
         return table;
     };
-    let mut metrics = run_metrics(report);
     if timings {
         // Host measurement, not simulation output: `metrics.host.*` is
         // the artifact's single digest-excluded subtree, ignored by

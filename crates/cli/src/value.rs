@@ -15,6 +15,7 @@
 //! byte-identical artifacts.
 
 use std::collections::BTreeMap;
+use std::fmt::Write;
 
 /// A parsed configuration value.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,33 +112,40 @@ impl Value {
     }
 
     fn write_json(&self, out: &mut String, depth: usize) {
+        // `write!` into a `String` cannot fail.
         match self {
             Value::Str(s) => {
                 out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\t' => out.push_str("\\t"),
-                        '\r' => out.push_str("\\r"),
-                        c if (c as u32) < 0x20 => {
-                            out.push_str(&format!("\\u{:04x}", c as u32));
+                if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+                    for c in s.chars() {
+                        match c {
+                            '"' => out.push_str("\\\""),
+                            '\\' => out.push_str("\\\\"),
+                            '\n' => out.push_str("\\n"),
+                            '\t' => out.push_str("\\t"),
+                            '\r' => out.push_str("\\r"),
+                            c if (c as u32) < 0x20 => {
+                                let _ = write!(out, "\\u{:04x}", c as u32);
+                            }
+                            c => out.push(c),
                         }
-                        c => out.push(c),
                     }
+                } else {
+                    out.push_str(s);
                 }
                 out.push('"');
             }
-            Value::Int(i) => out.push_str(&i.to_string()),
+            Value::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
             Value::Float(f) => {
                 // Rust's shortest-roundtrip Display is deterministic; pin
                 // the integral case to keep the value re-parseable as float.
-                if f.fract() == 0.0 && f.is_finite() && f.abs() < 1e15 {
-                    out.push_str(&format!("{f:.1}"));
+                let _ = if f.fract() == 0.0 && f.is_finite() && f.abs() < 1e15 {
+                    write!(out, "{f:.1}")
                 } else {
-                    out.push_str(&format!("{f}"));
-                }
+                    write!(out, "{f}")
+                };
             }
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Array(items) => {
@@ -150,12 +158,10 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(depth + 1));
+                    newline_indent(out, depth + 1);
                     item.write_json(out, depth + 1);
                 }
-                out.push('\n');
-                out.push_str(&"  ".repeat(depth));
+                newline_indent(out, depth);
                 out.push(']');
             }
             Value::Table(entries) => {
@@ -168,18 +174,24 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(depth + 1));
+                    newline_indent(out, depth + 1);
                     out.push('"');
                     out.push_str(k);
                     out.push_str("\": ");
                     v.write_json(out, depth + 1);
                 }
-                out.push('\n');
-                out.push_str(&"  ".repeat(depth));
+                newline_indent(out, depth);
                 out.push('}');
             }
         }
+    }
+}
+
+/// Starts a new JSON line indented `depth` levels of two spaces.
+fn newline_indent(out: &mut String, depth: usize) {
+    out.push('\n');
+    for _ in 0..depth {
+        out.push_str("  ");
     }
 }
 

@@ -6,12 +6,13 @@
 //! suffix, and fault-injected or retried runs must never reach the
 //! store.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use mondrian_cli::campaign::{run_campaign_store, store_salt, Campaign, ExitReason};
 use mondrian_cli::manifest::{Format, Manifest};
+use mondrian_cli::value::{parse_json, Value};
 use mondrian_core::fault::FaultPlan;
 use mondrian_store::Store;
 use proptest::prelude::*;
@@ -305,4 +306,100 @@ fn retried_runs_are_never_persisted_even_when_they_recover() {
     let counters = warm.cache.expect("store attached");
     assert_eq!(counters.run_hits, 1);
     assert_eq!(counters.run_misses, 1);
+}
+
+/// The `warm_sweep` benchmark shape, scaled down: every system on
+/// `tiny`, 2 sizes × 3 seeds, `filter → reduce_by_key → sort_by_key`.
+const WARM_SWEEP: &str = r#"
+    [campaign]
+    name = "warm-sweep"
+    systems = ["all"]
+    topology = "tiny"
+    concurrency = "serial"
+
+    [sweep]
+    tuples_per_vault = [16, 32]
+    seeds = [1, 2, 3]
+
+    [[stage]]
+    op = "filter"
+    modulus = 10
+    remainder = 0
+
+    [[stage]]
+    op = "reduce_by_key"
+
+    [[stage]]
+    op = "sort_by_key"
+"#;
+
+/// Removes what `--timings` adds and a warm run legitimately changes:
+/// `metrics.host`, the store traffic under `metrics.engine.cache`, and
+/// each run's `memoized_persistent` provenance flag.
+fn strip_provenance(doc: &mut Value) {
+    let Value::Table(root) = doc else { panic!("artifact is an object") };
+    if let Some(Value::Table(metrics)) = root.get_mut("metrics") {
+        metrics.remove("host");
+        if let Some(Value::Table(engine)) = metrics.get_mut("engine") {
+            engine.retain(|leaf, _| !leaf.starts_with("cache."));
+        }
+    }
+    let Some(Value::Array(runs)) = root.get_mut("runs") else { panic!("artifact has runs") };
+    for run in runs {
+        let Value::Table(run) = run else { panic!("run is an object") };
+        run.remove("memoized_persistent");
+        if let Some(Value::Table(metrics)) = run.get_mut("metrics") {
+            metrics.remove("host");
+        }
+    }
+}
+
+/// Every integer leaf of a nested `metrics` table, keyed `group.leaf`.
+fn metric_counts(metrics: &Value) -> BTreeMap<String, i64> {
+    let Value::Table(groups) = metrics else { panic!("metrics is an object") };
+    let mut counts = BTreeMap::new();
+    for (group, leaves) in groups {
+        let Value::Table(leaves) = leaves else { panic!("metric group is an object") };
+        for (leaf, value) in leaves {
+            if let Value::Int(n) = value {
+                counts.insert(format!("{group}.{leaf}"), *n);
+            }
+        }
+    }
+    counts
+}
+
+#[test]
+fn warm_sweep_artifacts_match_cold_and_the_rollup_sums_the_runs() {
+    let root = TempRoot::new("warm-sweep");
+    let manifest = Manifest::parse(WARM_SWEEP, Format::Toml).expect("manifest parses");
+    let cold = run_with_store(&manifest, 2, &root.0);
+    assert_eq!(cold.exit().reason, ExitReason::Ok);
+    assert_eq!(cold.runs.len(), 7 * 2 * 3);
+    let warm = run_with_store(&manifest, 1, &root.0);
+    assert_eq!(simulated_runs(&warm), 0, "a warm sweep simulates nothing");
+
+    let artifact = cold.to_json();
+    assert_eq!(warm.to_json(), artifact, "warm default artifact must be byte-identical");
+
+    let mut cold_timed = parse_json(&cold.to_json_with(true)).expect("cold artifact parses");
+    let mut warm_timed = parse_json(&warm.to_json_with(true)).expect("warm artifact parses");
+    strip_provenance(&mut cold_timed);
+    strip_provenance(&mut warm_timed);
+    assert_eq!(cold_timed, warm_timed, "timed artifacts differ beyond host provenance");
+
+    // The campaign rollup is the sum of the per-run rollups, plus one
+    // exit count per run.
+    let doc = parse_json(&artifact).expect("artifact parses");
+    let campaign = metric_counts(doc.get("metrics").expect("campaign metrics"));
+    let runs = doc.get("runs").and_then(Value::as_array).expect("runs");
+    let mut summed: BTreeMap<String, i64> = BTreeMap::new();
+    for run in runs {
+        for (key, n) in metric_counts(run.get("metrics").expect("run metrics")) {
+            *summed.entry(key).or_default() += n;
+        }
+    }
+    summed.insert("engine.exits.ok".to_string(), runs.len() as i64);
+    assert!(summed.len() > 10, "the runs carry traffic and phase counts");
+    assert_eq!(campaign, summed, "campaign counts must equal the sum over runs");
 }

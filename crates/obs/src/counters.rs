@@ -56,9 +56,13 @@ impl Counters {
     ///
     /// Panics if `key` already holds a [`Metric::Value`].
     pub fn add_count(&mut self, key: &str, n: u64) {
-        match self.entries.entry(key.to_owned()).or_insert(Metric::Count(0)) {
-            Metric::Count(c) => *c += n,
-            Metric::Value(_) => panic!("metric {key} is a value, not a count"),
+        // Look up by `&str` first: only an insert allocates the key.
+        match self.entries.get_mut(key) {
+            Some(Metric::Count(c)) => *c += n,
+            Some(Metric::Value(_)) => panic!("metric {key} is a value, not a count"),
+            None => {
+                self.entries.insert(key.to_owned(), Metric::Count(n));
+            }
         }
     }
 
@@ -68,9 +72,13 @@ impl Counters {
     ///
     /// Panics if `key` already holds a [`Metric::Count`].
     pub fn add_value(&mut self, key: &str, v: f64) {
-        match self.entries.entry(key.to_owned()).or_insert(Metric::Value(0.0)) {
-            Metric::Value(x) => *x += v,
-            Metric::Count(_) => panic!("metric {key} is a count, not a value"),
+        match self.entries.get_mut(key) {
+            Some(Metric::Value(x)) => *x += v,
+            Some(Metric::Count(_)) => panic!("metric {key} is a count, not a value"),
+            // `0.0 + v`, not `v`: a first add of -0.0 stores 0.0.
+            None => {
+                self.entries.insert(key.to_owned(), Metric::Value(0.0 + v));
+            }
         }
     }
 
@@ -224,9 +232,14 @@ mod tests {
         c.add_count("a", 1);
         c.add_count("a", 2);
         c.add_value("v", 0.5);
+        c.add_value("v", 0.25);
         assert_eq!(c.count("a"), 3);
-        assert_eq!(c.value("v"), 0.5);
+        assert_eq!(c.value("v"), 0.75);
+        assert_eq!(c.len(), 2);
         assert_eq!(c.count("missing"), 0);
+        // A first add of -0.0 stores +0.0, as `0.0 + v` always did.
+        c.add_value("z", -0.0);
+        assert!(c.value("z").is_sign_positive());
     }
 
     #[test]
@@ -235,6 +248,14 @@ mod tests {
         let mut c = Counters::new();
         c.add_value("x", 1.0);
         c.add_count("x", 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "is a count")]
+    fn value_onto_count_panics() {
+        let mut c = Counters::new();
+        c.add_count("x", 1);
+        c.add_value("x", 1.0);
     }
 
     #[test]

@@ -23,23 +23,27 @@ const LANE_STREAM_BASE: u64 = 2000;
 /// instances aggregate away (`vault.3.read_bytes` → `mem.read_bytes`,
 /// `mesh.at_v8.hops` → `noc.mesh_hops`, `l1.p0.2.misses` →
 /// `cache.l1_misses`), while structured suffixes like the queue-depth
-/// histogram buckets survive whole.
-fn metric_key(stat_key: &str) -> String {
+/// histogram buckets survive whole. A renamed key is built in `buf`, which
+/// the caller reuses across keys; an unchanged key is returned as is.
+fn metric_key<'a>(stat_key: &'a str, buf: &'a mut String) -> &'a str {
     let last = || stat_key.rsplit('.').next().expect("split yields at least one piece");
-    if let Some(rest) = stat_key.strip_prefix("vault.") {
-        let suffix = rest.split_once('.').map_or(rest, |(_, s)| s);
-        format!("mem.{suffix}")
+    let (prefix, tail) = if let Some(rest) = stat_key.strip_prefix("vault.") {
+        ("mem.", rest.split_once('.').map_or(rest, |(_, s)| s))
     } else if stat_key.starts_with("mesh.") {
-        format!("noc.mesh_{}", last())
+        ("noc.mesh_", last())
     } else if stat_key.starts_with("serdes.") {
-        format!("noc.serdes_{}", last())
+        ("noc.serdes_", last())
     } else if stat_key.starts_with("l1.") {
-        format!("cache.l1_{}", last())
+        ("cache.l1_", last())
     } else if stat_key.starts_with("llc.") {
-        format!("cache.llc_{}", last())
+        ("cache.llc_", last())
     } else {
-        stat_key.to_string()
-    }
+        return stat_key;
+    };
+    buf.clear();
+    buf.push_str(prefix);
+    buf.push_str(tail);
+    buf
 }
 
 /// Rolls one run's charged stage reports up into the unified counter
@@ -53,15 +57,19 @@ pub fn run_metrics(report: &PipelineReport) -> Counters {
         "engine.simd_ops",
         report.stages.iter().flat_map(|s| &s.report.phases).map(|p| p.simd_ops).sum(),
     );
+    let mut buf = String::new();
     for stage in &report.stages {
         for phase in &stage.report.phases {
-            c.add_count(&format!("phase_ps.{}", phase.label), phase.duration());
+            buf.clear();
+            buf.push_str("phase_ps.");
+            buf.push_str(&phase.label);
+            c.add_count(&buf, phase.duration());
         }
         for (k, stat) in stage.report.stats.iter() {
-            let key = metric_key(k);
+            let key = metric_key(k, &mut buf);
             match stat {
-                Stat::Count(n) => c.add_count(&key, n),
-                Stat::Value(v) => c.add_value(&key, v),
+                Stat::Count(n) => c.add_count(key, n),
+                Stat::Value(v) => c.add_value(key, v),
             }
         }
     }
@@ -223,14 +231,16 @@ mod tests {
 
     #[test]
     fn stat_keys_map_to_unified_paths() {
-        assert_eq!(metric_key("vault.3.read_bytes"), "mem.read_bytes");
-        assert_eq!(metric_key("vault.12.queue_depth.b4"), "mem.queue_depth.b4");
-        assert_eq!(metric_key("mesh.0.hops"), "noc.mesh_hops");
-        assert_eq!(metric_key("mesh.at_v8.bit_mm"), "noc.mesh_bit_mm");
-        assert_eq!(metric_key("serdes.cpu0.tx.packets"), "noc.serdes_packets");
-        assert_eq!(metric_key("serdes.hmc0to1.busy_ps"), "noc.serdes_busy_ps");
-        assert_eq!(metric_key("l1.p0.2.misses"), "cache.l1_misses");
-        assert_eq!(metric_key("llc.hits"), "cache.llc_hits");
-        assert_eq!(metric_key("something_else"), "something_else");
+        let mut buf = String::new();
+        let mut key = |k: &str| metric_key(k, &mut buf).to_string();
+        assert_eq!(key("vault.3.read_bytes"), "mem.read_bytes");
+        assert_eq!(key("vault.12.queue_depth.b4"), "mem.queue_depth.b4");
+        assert_eq!(key("mesh.0.hops"), "noc.mesh_hops");
+        assert_eq!(key("mesh.at_v8.bit_mm"), "noc.mesh_bit_mm");
+        assert_eq!(key("serdes.cpu0.tx.packets"), "noc.serdes_packets");
+        assert_eq!(key("serdes.hmc0to1.busy_ps"), "noc.serdes_busy_ps");
+        assert_eq!(key("l1.p0.2.misses"), "cache.l1_misses");
+        assert_eq!(key("llc.hits"), "cache.llc_hits");
+        assert_eq!(key("something_else"), "something_else");
     }
 }

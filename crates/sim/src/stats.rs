@@ -67,9 +67,13 @@ impl Stats {
     ///
     /// Panics if `key` already holds a [`Stat::Value`].
     pub fn add_count(&mut self, key: &str, n: u64) {
-        match self.entries.entry(key.to_owned()).or_insert(Stat::Count(0)) {
-            Stat::Count(c) => *c += n,
-            Stat::Value(_) => panic!("stat {key} is a value, not a count"),
+        // Look up by `&str` first: only an insert allocates the key.
+        match self.entries.get_mut(key) {
+            Some(Stat::Count(c)) => *c += n,
+            Some(Stat::Value(_)) => panic!("stat {key} is a value, not a count"),
+            None => {
+                self.entries.insert(key.to_owned(), Stat::Count(n));
+            }
         }
     }
 
@@ -79,9 +83,13 @@ impl Stats {
     ///
     /// Panics if `key` already holds a [`Stat::Count`].
     pub fn add_value(&mut self, key: &str, v: f64) {
-        match self.entries.entry(key.to_owned()).or_insert(Stat::Value(0.0)) {
-            Stat::Value(x) => *x += v,
-            Stat::Count(_) => panic!("stat {key} is a count, not a value"),
+        match self.entries.get_mut(key) {
+            Some(Stat::Value(x)) => *x += v,
+            Some(Stat::Count(_)) => panic!("stat {key} is a count, not a value"),
+            // `0.0 + v`, not `v`: a first add of -0.0 stores 0.0.
+            None => {
+                self.entries.insert(key.to_owned(), Stat::Value(0.0 + v));
+            }
         }
     }
 
@@ -150,6 +158,14 @@ impl Stats {
     }
 }
 
+impl FromIterator<(String, Stat)> for Stats {
+    /// Builds a registry from `(key, stat)` pairs in one pass. A repeated
+    /// key keeps its last stat, as a [`Stats::set`] loop would.
+    fn from_iter<I: IntoIterator<Item = (String, Stat)>>(pairs: I) -> Self {
+        Stats { entries: pairs.into_iter().collect() }
+    }
+}
+
 impl fmt::Display for Stats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (k, s) in &self.entries {
@@ -172,6 +188,7 @@ mod tests {
         s.add_count("a.b", 1);
         s.add_count("a.b", 2);
         assert_eq!(s.count("a.b"), 3);
+        assert_eq!(s.len(), 1);
         assert_eq!(s.count("missing"), 0);
     }
 
@@ -181,6 +198,9 @@ mod tests {
         s.add_value("e", 0.5);
         s.add_value("e", 0.25);
         assert!((s.value("e") - 0.75).abs() < 1e-12);
+        // A first add of -0.0 stores +0.0, as `0.0 + v` always did.
+        s.add_value("z", -0.0);
+        assert!(s.value("z").is_sign_positive());
     }
 
     #[test]
@@ -189,6 +209,34 @@ mod tests {
         let mut s = Stats::new();
         s.add_value("x", 1.0);
         s.add_count("x", 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "is a count")]
+    fn value_onto_count_panics() {
+        let mut s = Stats::new();
+        s.add_count("x", 1);
+        s.add_value("x", 1.0);
+    }
+
+    #[test]
+    fn collect_equals_set_loop_last_write_wins() {
+        let pairs = vec![
+            ("b".to_string(), Stat::Count(1)),
+            ("a".to_string(), Stat::Value(2.0)),
+            ("b".to_string(), Stat::Count(7)),
+            ("c".to_string(), Stat::Count(3)),
+            ("a".to_string(), Stat::Count(4)),
+        ];
+        let mut looped = Stats::new();
+        for (k, stat) in &pairs {
+            looped.set(k, *stat);
+        }
+        let collected: Stats = pairs.into_iter().collect();
+        assert_eq!(collected, looped);
+        assert_eq!(collected.get("a"), Some(Stat::Count(4)));
+        assert_eq!(collected.get("b"), Some(Stat::Count(7)));
+        assert_eq!(collected.len(), 3);
     }
 
     #[test]

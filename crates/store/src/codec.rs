@@ -408,19 +408,21 @@ fn w_stats(e: &mut Enc, s: &Stats) {
     }
 }
 
+/// The pairs arrive in key order, so they collect into the registry in
+/// one pass; a key is never copied or searched for twice.
 fn r_stats(d: &mut Dec) -> Option<Stats> {
     let n = d.len(17)?;
-    let mut s = Stats::new();
-    for _ in 0..n {
-        let key = d.str()?;
-        let stat = match d.u8()? {
-            0 => Stat::Count(d.u64()?),
-            1 => Stat::Value(d.f64()?),
-            _ => return None,
-        };
-        s.set(&key, stat);
-    }
-    Some(s)
+    (0..n)
+        .map(|_| {
+            let key = d.str()?;
+            let stat = match d.u8()? {
+                0 => Stat::Count(d.u64()?),
+                1 => Stat::Value(d.f64()?),
+                _ => return None,
+            };
+            Some((key, stat))
+        })
+        .collect()
 }
 
 fn w_mesh(e: &mut Enc, m: &MeshStats) {
@@ -924,4 +926,53 @@ pub(crate) fn decode_rel(buf: &[u8]) -> Option<Arc<[Tuple]>> {
         return None;
     }
     Some(rel.into())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mondrian_core::ExperimentBuilder;
+
+    fn roundtrip(report: &Report) -> Option<Report> {
+        let mut e = Enc::new();
+        w_report(&mut e, report);
+        let bytes = e.into_bytes();
+        let mut d = Dec::new(&bytes);
+        let back = r_report(&mut d)?;
+        d.done().then_some(back)
+    }
+
+    #[test]
+    fn per_device_stats_roundtrip_to_an_equal_registry() {
+        let mut report = ExperimentBuilder::new(OperatorKind::Join)
+            .system(SystemKind::Mondrian)
+            .tiny()
+            .tuples_per_vault(32)
+            .run();
+        assert!(report.stats.iter().any(|(k, _)| k.starts_with("vault.")));
+        assert!(report.stats.iter().any(|(k, _)| k.starts_with("mesh.")));
+        // A partitioned core's L1 and both stat flavors, whatever the
+        // simulated system happened to export.
+        report.stats.add_count("l1.p0.2.misses", 7);
+        report.stats.add_count("l1.p1.0.hits", 11);
+        report.stats.add_value("mesh.at_v3.bit_mm", 1.5);
+        report.stats.add_value("vault.9.util", 0.25);
+        let back = roundtrip(&report).expect("report decodes");
+        assert_eq!(back.stats, report.stats);
+        assert_eq!(format!("{back:?}"), format!("{report:?}"));
+    }
+
+    #[test]
+    fn a_bad_stat_flavor_tag_fails_the_decode() {
+        let mut stats = Stats::new();
+        stats.add_count("vault.0.reads", 1);
+        let mut e = Enc::new();
+        w_stats(&mut e, &stats);
+        let mut bytes = e.into_bytes();
+        // Layout: count (8), key length (8), key, flavor tag, payload (8).
+        let tag = 8 + 8 + "vault.0.reads".len();
+        assert_eq!(r_stats(&mut Dec::new(&bytes)), Some(stats));
+        bytes[tag] = 2;
+        assert_eq!(r_stats(&mut Dec::new(&bytes)), None);
+    }
 }
