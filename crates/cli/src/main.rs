@@ -245,17 +245,9 @@ fn cmd_run(args: &[String]) -> Result<u8, CliError> {
                 jobs_flag = Some(n.parse().map_err(|_| format!("bad worker count {n:?}"))?);
             }
             "--concurrency" => {
-                concurrency = Some(match it.next().map(String::as_str) {
-                    Some("serial") => Concurrency::Serial,
-                    Some("branch") => Concurrency::Branch,
-                    Some("stream") => Concurrency::Stream,
-                    Some("auto") => Concurrency::Auto,
-                    _ => {
-                        return Err("--concurrency needs \"serial\", \"branch\", \"stream\" \
-                             or \"auto\""
-                            .into())
-                    }
-                });
+                let mode = it.next().map(String::as_str).and_then(Concurrency::parse);
+                let usage = "--concurrency needs \"serial\", \"branch\", \"stream\" or \"auto\"";
+                concurrency = Some(mode.ok_or(usage)?);
             }
             flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}").into()),
             path => {

@@ -3,7 +3,7 @@
 
 use mondrian_cli::campaign::{run_campaign, CampaignRun};
 use mondrian_cli::manifest::{Format, Manifest};
-use mondrian_pipeline::PipelineReport;
+use mondrian_pipeline::{Concurrency, PipelineReport};
 
 /// Every example campaign completes, so each run carries a report.
 fn rep(run: &CampaignRun) -> &PipelineReport {
@@ -149,4 +149,42 @@ fn branch_join_campaign_beats_serial_with_identical_outputs() {
         }
     }
     assert!(strictly_faster > 0, "branch schedule must beat serial on at least one system");
+}
+
+/// `(manifest, mode, FNV-1a digest of Campaign::to_json())` at `jobs = 1`.
+/// The checked-in baselines pin only each manifest's default mode; these
+/// pin every schedule byte-for-byte, so a refactor of the executor that
+/// moves one byte of a `serial` or `auto` artifact fails here.
+const MODE_DIGESTS: [(&str, Concurrency, u64); 8] = [
+    ("branch_join.toml", Concurrency::Serial, 0x56f2_0a6a_49f3_1936),
+    ("branch_join.toml", Concurrency::Branch, 0xc74a_b397_f3e4_1b29),
+    ("branch_join.toml", Concurrency::Stream, 0x5356_ac43_886c_25da),
+    ("branch_join.toml", Concurrency::Auto, 0xf3ac_4da0_6223_3683),
+    ("stream_chain.toml", Concurrency::Serial, 0x65cd_6593_41a7_2c55),
+    ("stream_chain.toml", Concurrency::Branch, 0x4c5d_41d2_0088_6da1),
+    ("stream_chain.toml", Concurrency::Stream, 0x846a_5a3f_ecd2_43e4),
+    ("stream_chain.toml", Concurrency::Auto, 0xb020_0235_6007_a477),
+];
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+#[test]
+fn every_mode_artifact_matches_its_golden_digest() {
+    let mut got = Vec::new();
+    for (name, mode, _) in MODE_DIGESTS {
+        let mut m = Manifest::parse(&example(name), Format::Toml).unwrap();
+        m.concurrency = mode;
+        let campaign = run_campaign(&m, |_| {});
+        assert!(campaign.verified(), "{name} --concurrency {} must verify", mode.name());
+        got.push((name, mode, fnv1a(campaign.to_json().as_bytes())));
+    }
+    let rendered: Vec<String> = got
+        .iter()
+        .map(|(name, mode, d)| format!("(\"{name}\", Concurrency::{mode:?}, {d:#018x}),"))
+        .collect();
+    assert_eq!(got, MODE_DIGESTS, "artifact digests moved:\n{}", rendered.join("\n"));
 }

@@ -1,36 +1,36 @@
 //! The pipeline executor: lowers a stage DAG onto the simulated engine.
 //!
-//! Three schedules are supported ([`Concurrency`]):
+//! Every stage first runs in a **serial reference pass**: one stage at a
+//! time over the whole machine, in stage order. One schedule executor
+//! then charges the run; [`Concurrency`] sets its two settings:
 //!
-//! * **Serial** — one stage at a time over the whole machine, in stage
-//!   order. This is the reference executor.
-//! * **Branch** — the scheduler decomposes the plan into branch waves
-//!   ([`crate::schedule::Dag`]); the branches of one wave lease disjoint
-//!   vault partitions ([`PartitionSpec`]) of the same machine and execute
-//!   concurrently, joining at a barrier. Every partitioned stage's output
-//!   is verified byte-identical to the serial reference run, and a wave
-//!   only charges the concurrent makespan when it beats running its
-//!   stages back to back — the branch schedule is never reported slower
-//!   than the serial one.
-//! * **Stream** — branch scheduling plus intra-stage pipelining: for
-//!   every fused producer→consumer edge ([`Dag::fused_pairs`]) the
-//!   consumer re-executes with its primary input arriving as a bounded
-//!   stream of chunks ([`mondrian_core::ExperimentBuilder::streamed_input`]),
-//!   and the wave timeline overlaps the producer's probe/output phase
-//!   with the consumer's per-chunk partition rounds instead of
-//!   materializing the relation at a wave barrier. Streamed runs are
-//!   verified byte-identical to the serial reference like partitioned
-//!   ones, and two fallbacks bound the timing model: a pair never
-//!   charges more than its materialized slot, and a wave never charges
-//!   more than the branch schedule — so `stream ≤ branch ≤ serial`
-//!   holds by construction.
-//! * **Auto** — the cost-model planner ([`crate::plan`]) predicts
-//!   per-stage makespans from the serial pass's actual cardinalities and
-//!   proposes weighted vault leases per wave plus tuned chunk counts per
-//!   fused edge. The executor races the default stream schedule against
-//!   the planned one and charges whichever measured faster, so
-//!   `auto ≤ min(serial, branch, stream)` holds by construction and a
-//!   wrong prediction can never regress a run.
+//! * **Vault leases** (every mode but `serial`) — the executor decomposes
+//!   the plan into branch waves ([`crate::schedule::Dag`]); the branches
+//!   of one wave lease disjoint vault partitions ([`PartitionSpec`]) of
+//!   the same machine and execute concurrently, joining at a barrier. A
+//!   wave only charges the concurrent makespan when it beats running its
+//!   stages back to back. Without leases every wave charges the serial
+//!   pass's runs back to back.
+//! * **Streaming** (`stream` and `auto`) — for every fused
+//!   producer→consumer edge ([`Dag::fused_pairs`]) the consumer
+//!   re-executes with its primary input arriving as a bounded stream of
+//!   chunks ([`mondrian_core::ExperimentBuilder::streamed_input`]), and
+//!   the wave timeline overlaps the producer's probe/output phase with
+//!   the consumer's per-chunk partition rounds instead of materializing
+//!   the relation at a wave barrier. A pair never charges more than its
+//!   materialized slot, and a wave never more than its unstreamed charge.
+//!
+//! The two fallbacks make `stream ≤ branch ≤ serial` hold by
+//! construction, and every partitioned or streamed run is verified
+//! byte-identical to the serial reference pass, charged or not.
+//!
+//! **Auto** adds a race: the cost-model planner ([`crate::plan`])
+//! predicts per-stage makespans from the serial pass's actual
+//! cardinalities and proposes weighted vault leases per wave plus tuned
+//! chunk counts per fused edge. The executor runs the default stream
+//! schedule and the planned one and charges whichever measured faster, so
+//! `auto ≤ min(serial, branch, stream)` holds by construction and a wrong
+//! prediction can never regress a run.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -187,9 +187,9 @@ impl Pipeline {
     /// Like [`Pipeline::run_cached`], additionally streaming
     /// [`ProgressEvent`]s to `sink` as the run executes, tagged with
     /// `label`. Stage events fire from the serial reference pass in
-    /// stage order; wave events fire from the schedulers in wave order.
-    /// Purely observational: the report is byte-identical to an
-    /// unobserved run.
+    /// stage order; wave events fire from the schedule executor in wave
+    /// order (serial runs emit none). Purely observational: the report is
+    /// byte-identical to an unobserved run.
     ///
     /// # Panics
     ///
@@ -272,82 +272,28 @@ impl Pipeline {
             serial.push(run);
         }
 
-        let obs = Observer { label, sink };
-        match cfg.concurrency {
-            Concurrency::Serial => self.assemble_serial(cfg, &dag, source.len(), serial, outputs),
-            Concurrency::Branch => {
-                self.run_branches(cfg, &dag, source.len(), &source, serial, outputs, obs)
-            }
-            Concurrency::Stream => {
-                self.run_stream(cfg, &dag, source.len(), &source, serial, outputs, obs)
-            }
-            Concurrency::Auto => {
-                self.run_auto(cfg, &dag, source.len(), &source, serial, outputs, obs)
-            }
-        }
+        // Every mode runs one schedule executor; auto races a planned
+        // candidate against it. Serial runs lease nothing, so every wave
+        // charges its stages back to back, and their progress stream
+        // carries stage events only.
+        let obs = Observer {
+            label,
+            sink: if cfg.concurrency == Concurrency::Serial { &() } else { sink },
+        };
+        let (sched, planned) = if cfg.concurrency == Concurrency::Auto {
+            let (sched, planned) = self.race_planned(cfg, &dag, &source, &serial, &outputs, obs);
+            (sched, Some(planned))
+        } else {
+            (self.exec_schedule(cfg, &dag, &source, &serial, &outputs, obs, None), None)
+        };
+        self.assemble(cfg, &dag, source.len(), serial, outputs, sched, planned)
     }
 
-    /// Assembles the report of a serial run: every wave charges the sum of
-    /// its stage runtimes.
-    fn assemble_serial(
-        &self,
-        cfg: &PipelineConfig,
-        dag: &Dag,
-        source_rows: usize,
-        serial: Vec<StageRun>,
-        outputs: Vec<Rel>,
-    ) -> PipelineReport {
-        let total_vaults = cfg.system_config().total_vaults();
-        let mut waves = Vec::new();
-        let mut makespan: Time = 0;
-        for (w, wave_branches) in dag.waves.iter().enumerate() {
-            let wave = serial_wave(w, wave_branches, dag, &serial, total_vaults);
-            makespan += wave.runtime_ps;
-            waves.push(wave);
-        }
-        let stages = self
-            .stages
-            .iter()
-            .zip(serial)
-            .enumerate()
-            .map(|(i, (stage, run))| {
-                let serial_runtime = run.report.runtime_ps;
-                stage_outcome(
-                    cfg,
-                    i,
-                    stage,
-                    run,
-                    StagePlacement {
-                        wave: dag.wave_of(i),
-                        branch: dag.branch_of[i],
-                        concurrent: false,
-                        streamed: false,
-                    },
-                    serial_runtime,
-                    true,
-                )
-            })
-            .collect();
-        PipelineReport {
-            system: cfg.system,
-            source_rows,
-            stages,
-            schedule: ScheduleReport {
-                mode: Concurrency::Serial,
-                waves,
-                fused: Vec::new(),
-                makespan_ps: makespan,
-            },
-            planned: None,
-            output: outputs.into_iter().next_back().expect("validated non-empty").to_vec(),
-        }
-    }
-
-    /// The branch-mode wave execution shared by the branch and stream
-    /// schedulers: waves with two or more ready branches lease disjoint
-    /// vault partitions and execute concurrently; each partitioned stage
-    /// is verified byte-identical to the serial pass (`matches`), its
-    /// run parked in `chosen` when the wave charges the concurrent
+    /// The branch-mode wave execution: waves with two or more ready
+    /// branches lease disjoint vault partitions (except under
+    /// `Concurrency::Serial`) and execute concurrently; each partitioned
+    /// stage is verified byte-identical to the serial pass (`matches`),
+    /// its run parked in `chosen` when the wave charges the concurrent
     /// layout, and a wave falls back to the serial schedule when
     /// concurrency does not pay. A plan may override a wave's equal
     /// lease split with its weighted proposal.
@@ -369,15 +315,14 @@ impl Pipeline {
         let mut execs = Vec::with_capacity(dag.waves.len());
 
         for (w, wave_branches) in dag.waves.iter().enumerate() {
-            // Wave boundaries are the branch/stream schedulers'
-            // cooperative wall-time checkpoints.
+            // Wave boundaries are cooperative wall-time checkpoints.
             check_deadline(cfg);
             let serial_sum: Time = wave_branches
                 .iter()
                 .flat_map(|&b| &dag.branches[b])
                 .map(|&i| serial[i].report.runtime_ps)
                 .sum();
-            let leases = if wave_branches.len() >= 2 {
+            let leases = if cfg.concurrency != Concurrency::Serial && wave_branches.len() >= 2 {
                 plan.and_then(|p| p.wave_leases(w))
                     .filter(|leases| leases.len() == wave_branches.len())
                     .or_else(|| PartitionSpec::split(total_vaults, wave_branches.len() as u32))
@@ -385,8 +330,8 @@ impl Pipeline {
                 None
             };
             let Some(leases) = leases else {
-                // Singleton wave, or more tenants than vaults: the serial
-                // schedule is the only schedule.
+                // A serial run, a singleton wave, or more tenants than
+                // vaults: the serial schedule is the only schedule.
                 let report = serial_wave(w, wave_branches, dag, serial, total_vaults);
                 obs.emit(&ProgressEvent::WaveCompleted {
                     wave: w,
@@ -527,110 +472,23 @@ impl Pipeline {
         execs
     }
 
-    /// The branch scheduler: branch-mode wave execution, assembled as the
-    /// charged schedule.
-    #[allow(clippy::too_many_arguments)]
-    fn run_branches(
-        &self,
-        cfg: &PipelineConfig,
-        dag: &Dag,
-        source_rows: usize,
-        source: &Rel,
-        serial: Vec<StageRun>,
-        outputs: Vec<Rel>,
-        obs: Observer<'_>,
-    ) -> PipelineReport {
-        let n = self.stages.len();
-        let mut chosen: Vec<Option<StageRun>> = (0..n).map(|_| None).collect();
-        let mut matches = vec![true; n];
-        let execs = self.exec_waves(
-            cfg,
-            dag,
-            source,
-            &serial,
-            &outputs,
-            &mut chosen,
-            &mut matches,
-            obs,
-            None,
-        );
-        let concurrent: Vec<bool> = chosen.iter().map(Option::is_some).collect();
-        let assembly = Assembly {
-            mode: Concurrency::Branch,
-            source_rows,
-            serial,
-            outputs,
-            chosen,
-            matches,
-            concurrent,
-            streamed: vec![false; n],
-            waves: execs.into_iter().map(|we| we.report).collect(),
-            fused: Vec::new(),
-            planned: None,
-        };
-        self.assemble_scheduled(cfg, dag, assembly)
-    }
-
-    /// The stream scheduler: branch-mode wave execution first (leases,
-    /// serial-equivalence checks, per-wave fallback), then intra-stage
-    /// pipelining on top. Every fused producer→consumer edge
-    /// ([`Dag::fused_pairs`]) re-executes the consumer with its primary
-    /// input arriving as a bounded chunk stream, and the wave timeline
-    /// overlaps the producer's output phase with the consumer's
-    /// per-chunk partition rounds. The overlap model claims only what
-    /// the fallbacks bound — a pair never charges more than its
-    /// materialized slot, a wave never more than the branch schedule —
-    /// so `stream ≤ branch ≤ serial` holds by construction, while the
-    /// functional contract stays independent of the timing model: every
-    /// streamed run's projected output must be byte-identical to the
-    /// serial reference pass, charged or not.
-    #[allow(clippy::too_many_arguments)]
-    fn run_stream(
-        &self,
-        cfg: &PipelineConfig,
-        dag: &Dag,
-        source_rows: usize,
-        source: &Rel,
-        serial: Vec<StageRun>,
-        outputs: Vec<Rel>,
-        obs: Observer<'_>,
-    ) -> PipelineReport {
-        let sched = self.exec_stream_schedule(cfg, dag, source, &serial, &outputs, obs, None);
-        let assembly = Assembly {
-            mode: Concurrency::Stream,
-            source_rows,
-            serial,
-            outputs,
-            chosen: sched.chosen,
-            matches: sched.matches,
-            concurrent: sched.concurrent,
-            streamed: sched.streamed,
-            waves: sched.waves,
-            fused: sched.fused,
-            planned: None,
-        };
-        self.assemble_scheduled(cfg, dag, assembly)
-    }
-
-    /// The adaptive scheduler: builds a cost-model plan from the serial
-    /// pass's actual cardinalities ([`crate::plan::plan_pipeline`]), then
-    /// races the default stream schedule against the planned one (weighted
-    /// leases, tuned chunk counts) and charges whichever measured faster.
+    /// The adaptive race: builds a cost-model plan from the serial pass's
+    /// actual cardinalities ([`crate::plan::plan_pipeline`]), then races
+    /// the default stream schedule against the planned one (weighted
+    /// leases, tuned chunk counts) and returns whichever measured faster.
     /// The default candidate is byte-for-byte the `Concurrency::Stream`
     /// execution, so `auto ≤ min(serial, branch, stream)` holds by
     /// construction; the `planned` block records the predictions and who
     /// won so artifacts can attribute the outcome.
-    #[allow(clippy::too_many_arguments)]
-    fn run_auto(
+    fn race_planned(
         &self,
         cfg: &PipelineConfig,
         dag: &Dag,
-        source_rows: usize,
         source: &Rel,
-        serial: Vec<StageRun>,
-        outputs: Vec<Rel>,
+        serial: &[StageRun],
+        outputs: &[Rel],
         obs: Observer<'_>,
-    ) -> PipelineReport {
+    ) -> (SchedExec, PlanReport) {
         let sys = cfg.system_config();
         let shapes: Vec<StageShape> = self
             .stages
@@ -638,7 +496,7 @@ impl Pipeline {
             .enumerate()
             .map(|(i, stage)| StageShape {
                 rows_in: serial[i].input_rows,
-                rows_build: resolve_build(&stage.spec, &outputs).map_or(0, |r| r.len()),
+                rows_build: resolve_build(&stage.spec, outputs).map_or(0, |r| r.len()),
                 rows_out: outputs[i].len(),
             })
             .collect();
@@ -647,31 +505,22 @@ impl Pipeline {
         // Candidate D: the default stream schedule (emits the progress
         // events). Candidate P: the planned schedule, raced silently —
         // observation must not depend on which candidate wins.
-        let default = self.exec_stream_schedule(cfg, dag, source, &serial, &outputs, obs, None);
-        let silent = ();
+        let default = self.exec_schedule(cfg, dag, source, serial, outputs, obs, None);
         let planned_exec = plan.proposes_changes().then(|| {
-            self.exec_stream_schedule(
-                cfg,
-                dag,
-                source,
-                &serial,
-                &outputs,
-                Observer { label: obs.label, sink: &silent },
-                Some(&plan),
-            )
+            let silent = Observer { label: obs.label, sink: &() };
+            self.exec_schedule(cfg, dag, source, serial, outputs, silent, Some(&plan))
         });
         let planner_won =
             planned_exec.as_ref().is_some_and(|p| p.makespan_ps() < default.makespan_ps());
-        let (winner, loser) = if planner_won {
+        let (mut winner, loser) = if planner_won {
             (planned_exec.expect("planner_won implies a planned candidate"), Some(default))
         } else {
             (default, planned_exec)
         };
         // Every candidate run was verified against the serial outputs;
         // a mismatch in either candidate fails the run, charged or not.
-        let mut matches = winner.matches;
         if let Some(loser) = &loser {
-            for (m, &lm) in matches.iter_mut().zip(&loser.matches) {
+            for (m, &lm) in winner.matches.iter_mut().zip(&loser.matches) {
                 *m &= lm;
             }
         }
@@ -706,31 +555,17 @@ impl Pipeline {
                 })
                 .collect(),
         };
-        let assembly = Assembly {
-            mode: Concurrency::Auto,
-            source_rows,
-            serial,
-            outputs,
-            chosen: winner.chosen,
-            matches,
-            concurrent: winner.concurrent,
-            streamed: winner.streamed,
-            waves: winner.waves,
-            fused: winner.fused,
-            planned: Some(planned),
-        };
-        self.assemble_scheduled(cfg, dag, assembly)
+        (winner, planned)
     }
 
-    /// One complete stream-schedule execution — the shared engine behind
-    /// `Concurrency::Stream` (no plan) and both `Concurrency::Auto`
-    /// candidates (the planned one overrides leases and chunk counts).
-    /// Runs branch-mode waves, re-executes fused consumers with chunked
-    /// input, and walks the wave timeline; every fallback of the ladder
-    /// applies per candidate, so each candidate is never-worse than the
-    /// branch schedule on its own.
+    /// One complete schedule execution — the only executor, behind every
+    /// mode and both `Concurrency::Auto` candidates (the planned one
+    /// overrides leases and chunk counts). Runs the waves (leased unless
+    /// `Concurrency::Serial`), re-executes fused consumers with chunked
+    /// input (`Concurrency::Stream` and `Concurrency::Auto` only), and
+    /// walks the wave timeline; every fallback applies per execution.
     #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-    fn exec_stream_schedule(
+    fn exec_schedule(
         &self,
         cfg: &PipelineConfig,
         dag: &Dag,
@@ -762,8 +597,12 @@ impl Pipeline {
         // used, with the producer's verified serial output as the chunk
         // stream, and is held to the same differential contract as
         // partitioned runs: projected output byte-identical to serial.
+        let fused_pairs = match cfg.concurrency {
+            Concurrency::Stream | Concurrency::Auto => dag.fused_pairs(&self.stages),
+            Concurrency::Serial | Concurrency::Branch => Vec::new(),
+        };
         let mut pairs: Vec<PairExec> = Vec::new();
-        for (producer, consumer) in dag.fused_pairs(&self.stages) {
+        for (producer, consumer) in fused_pairs {
             let unfused_ps = chosen[consumer]
                 .as_ref()
                 .map_or(serial[consumer].report.runtime_ps, |r| r.report.runtime_ps);
@@ -976,58 +815,69 @@ impl Pipeline {
         SchedExec { chosen, matches, concurrent, streamed, waves, fused }
     }
 
-    /// Assembles the report of a scheduled (branch or stream) run from
-    /// whichever execution was charged per stage.
-    fn assemble_scheduled(
+    /// Assembles the run's report from the charged execution: per stage,
+    /// the scheduled (partitioned or streamed) run when the schedule
+    /// charged one, else the serial pass's run.
+    #[allow(clippy::too_many_arguments)]
+    fn assemble(
         &self,
         cfg: &PipelineConfig,
         dag: &Dag,
-        mut assembly: Assembly,
+        source_rows: usize,
+        serial: Vec<StageRun>,
+        outputs: Vec<Rel>,
+        mut sched: SchedExec,
+        planned: Option<PlanReport>,
     ) -> PipelineReport {
-        let makespan = assembly.waves.iter().map(|w| w.runtime_ps).sum();
+        let makespan = sched.makespan_ps();
         let mut stages = Vec::with_capacity(self.stages.len());
-        for (i, (stage, run)) in self.stages.iter().zip(assembly.serial).enumerate() {
-            let serial_runtime = run.report.runtime_ps;
+        for (i, (stage, run)) in self.stages.iter().zip(serial).enumerate() {
+            let serial_runtime_ps = run.report.runtime_ps;
             let serial_reference_ok = run.reference_ok;
-            let run = match assembly.chosen[i].take() {
+            let run = match sched.chosen[i].take() {
                 Some(mut scheduled_run) => {
-                    // The scheduled (partitioned or streamed) run was
-                    // checked against the serial output, not the pure
-                    // reference directly; its reference verdict follows
-                    // transitively (identical to a serial output that
-                    // itself matched the reference).
-                    scheduled_run.reference_ok = assembly.matches[i] && serial_reference_ok;
+                    // The scheduled run was checked against the serial
+                    // output, not the pure reference directly; its
+                    // reference verdict follows transitively (identical
+                    // to a serial output that itself matched the
+                    // reference).
+                    scheduled_run.reference_ok = sched.matches[i] && serial_reference_ok;
                     scheduled_run
                 }
                 None => run,
             };
-            stages.push(stage_outcome(
-                cfg,
-                i,
-                stage,
-                run,
-                StagePlacement {
-                    wave: dag.wave_of(i),
-                    branch: dag.branch_of[i],
-                    concurrent: assembly.concurrent[i],
-                    streamed: assembly.streamed[i],
-                },
-                serial_runtime,
-                assembly.matches[i],
-            ));
+            stages.push(StageOutcome {
+                spec: stage.spec,
+                inputs: stage.inputs.clone(),
+                wave: dag.wave_of(i),
+                branch: dag.branch_of[i],
+                concurrent: sched.concurrent[i],
+                streamed: sched.streamed[i],
+                serial_runtime_ps,
+                matches_serial: sched.matches[i],
+                // The digest-corruption fault point: the artifact records a
+                // digest that no longer matches the (correct) relation, which
+                // an `assertions.stage_digests` block then catches at assembly.
+                output_digest: relation_digest(&run.projected)
+                    ^ mondrian_core::fault::digest_xor(cfg.fault.as_deref(), i),
+                input_rows: run.input_rows,
+                output_rows: run.projected.len(),
+                reference_ok: run.reference_ok,
+                report: run.report,
+            });
         }
         PipelineReport {
             system: cfg.system,
-            source_rows: assembly.source_rows,
+            source_rows,
             stages,
             schedule: ScheduleReport {
-                mode: assembly.mode,
-                waves: assembly.waves,
-                fused: assembly.fused,
+                mode: cfg.concurrency,
+                waves: sched.waves,
+                fused: sched.fused,
                 makespan_ps: makespan,
             },
-            planned: assembly.planned,
-            output: assembly.outputs.into_iter().next_back().expect("validated non-empty").to_vec(),
+            planned,
+            output: outputs.into_iter().next_back().expect("validated non-empty").to_vec(),
         }
     }
 }
@@ -1047,8 +897,8 @@ impl Observer<'_> {
 }
 
 /// One wave of the branch-mode execution, kept with the leases its
-/// concurrent layout ran on (the stream scheduler re-runs fused
-/// consumers under the same lease).
+/// concurrent layout ran on (fused consumers re-run under the same
+/// lease).
 struct WaveExec {
     report: WaveReport,
     leases: Option<Vec<PartitionSpec>>,
@@ -1096,9 +946,9 @@ impl PairExec {
     }
 }
 
-/// One complete stream-schedule execution, before report assembly.
-/// `run_stream` charges its only execution; `run_auto` races two and
-/// charges the faster.
+/// One complete schedule execution, before report assembly. Every mode
+/// but auto charges its only execution; auto races two and charges the
+/// faster.
 struct SchedExec {
     chosen: Vec<Option<StageRun>>,
     matches: Vec<bool>,
@@ -1112,21 +962,6 @@ impl SchedExec {
     fn makespan_ps(&self) -> Time {
         self.waves.iter().map(|w| w.runtime_ps).sum()
     }
-}
-
-/// Inputs of the scheduled-report assembly beyond the stages themselves.
-struct Assembly {
-    mode: Concurrency,
-    source_rows: usize,
-    serial: Vec<StageRun>,
-    outputs: Vec<Rel>,
-    chosen: Vec<Option<StageRun>>,
-    matches: Vec<bool>,
-    concurrent: Vec<bool>,
-    streamed: Vec<bool>,
-    waves: Vec<WaveReport>,
-    fused: Vec<FusedEdge>,
-    planned: Option<PlanReport>,
 }
 
 /// How many arrival chunks a fused edge streams through by default: the
@@ -1213,44 +1048,6 @@ fn check_deadline(cfg: &PipelineConfig) {
         if Instant::now() >= deadline {
             Abort::throw(AbortReason::LimitWallTime, "wall-time budget exhausted");
         }
-    }
-}
-
-/// Where the schedule placed a stage and how it executed there.
-struct StagePlacement {
-    wave: usize,
-    branch: usize,
-    concurrent: bool,
-    streamed: bool,
-}
-
-fn stage_outcome(
-    cfg: &PipelineConfig,
-    index: usize,
-    stage: &Stage,
-    run: StageRun,
-    placement: StagePlacement,
-    serial_runtime_ps: Time,
-    matches_serial: bool,
-) -> StageOutcome {
-    StageOutcome {
-        spec: stage.spec,
-        inputs: stage.inputs.clone(),
-        wave: placement.wave,
-        branch: placement.branch,
-        concurrent: placement.concurrent,
-        streamed: placement.streamed,
-        serial_runtime_ps,
-        matches_serial,
-        // The digest-corruption fault point: the artifact records a
-        // digest that no longer matches the (correct) relation, which an
-        // `assertions.stage_digests` block then catches at assembly.
-        output_digest: relation_digest(&run.projected)
-            ^ mondrian_core::fault::digest_xor(cfg.fault.as_deref(), index),
-        input_rows: run.input_rows,
-        output_rows: run.projected.len(),
-        reference_ok: run.reference_ok,
-        report: run.report,
     }
 }
 

@@ -15,22 +15,24 @@
 //! output; multi-input stages name every feeder edge explicitly.
 //!
 //! Because the paper's vaults are independent execution partitions, the
-//! executor can also **lease the machine out**: under
-//! [`Concurrency::Branch`], independent DAG branches (e.g. a join's two
+//! executor can also **lease the machine out**. Every run starts with a
+//! serial reference pass (each stage alone on the whole machine), then
+//! one schedule executor charges it; [`Concurrency`] picks its two
+//! settings. With **vault leases** (every mode but
+//! [`Concurrency::Serial`]), independent DAG branches (e.g. a join's two
 //! input chains) run concurrently on disjoint vault partitions, joined at
-//! wave barriers, with the serial schedule kept as the reference executor
-//! the concurrent one is verified against — every partitioned stage's
-//! output must be byte-identical to the serial run, and a wave only
-//! charges the concurrent makespan when it beats the serial schedule.
-//!
-//! [`Concurrency::Stream`] adds **intra-stage pipelining** on top:
-//! eligible producer→consumer edges ([`Dag::fused_pairs`]) chunk the
-//! producer's output relation through a bounded channel into the
-//! consumer's partition phase, overlapping the producer's probe/output
-//! phase with the consumer's histogram/scatter rounds instead of
-//! materializing the relation at a wave barrier. Streamed stages verify
-//! byte-identical to the serial reference too, and a per-pair fallback
-//! keeps the streamed schedule never charged slower than the branch one.
+//! wave barriers; a wave only charges the concurrent makespan when it
+//! beats the serial schedule. With **streaming** ([`Concurrency::Stream`]
+//! and [`Concurrency::Auto`]), eligible producer→consumer edges
+//! ([`Dag::fused_pairs`]) chunk the producer's output relation through a
+//! bounded channel into the consumer's partition phase, overlapping the
+//! producer's probe/output phase with the consumer's histogram/scatter
+//! rounds instead of materializing the relation at a wave barrier; a
+//! per-pair fallback keeps a streamed schedule never charged slower than
+//! the unstreamed one. [`Concurrency::Auto`] races the default stream
+//! schedule against a cost-model plan and charges the faster. Every
+//! partitioned or streamed stage's output must be byte-identical to the
+//! serial reference pass.
 //!
 //! Every stage is verified against the engine's own functional check and
 //! the stage's pure functional semantics

@@ -45,8 +45,8 @@ pub struct StageOutcome {
     pub concurrent: bool,
     /// Whether the charged execution consumed its primary input as a
     /// chunk stream overlapped with its producer's output phase
-    /// (`Concurrency::Stream` only; false when the per-pair fallback
-    /// kept the materialized schedule).
+    /// (`Concurrency::Stream` and `Concurrency::Auto` only; false when
+    /// the per-pair fallback kept the materialized schedule).
     pub streamed: bool,
     /// The serial reference executor's runtime for this stage.
     pub serial_runtime_ps: Time,
@@ -206,7 +206,7 @@ pub struct ScheduleReport {
     /// The waves, in execution order.
     pub waves: Vec<WaveReport>,
     /// Producer→consumer edges considered for intra-stage pipelining
-    /// (empty outside `Concurrency::Stream`).
+    /// (empty outside `Concurrency::Stream` and `Concurrency::Auto`).
     pub fused: Vec<FusedEdge>,
     /// End-to-end makespan: the sum of charged wave times.
     pub makespan_ps: Time,

@@ -57,7 +57,17 @@ impl Concurrency {
             Concurrency::Auto => "auto",
         }
     }
+
+    /// Parses the manifest spelling ([`Concurrency::name`]), exactly and
+    /// case-sensitively; `None` for anything else.
+    pub fn parse(name: &str) -> Option<Self> {
+        MODES.into_iter().find(|mode| mode.name() == name)
+    }
 }
+
+/// Every [`Concurrency`] value, in ladder order.
+const MODES: [Concurrency; 4] =
+    [Concurrency::Serial, Concurrency::Branch, Concurrency::Stream, Concurrency::Auto];
 
 /// The stage a pipeline input edge reads, if any (`Source` edges read
 /// the pipeline's source relation).
@@ -214,6 +224,16 @@ mod tests {
             Stage::chained(StageSpec::GroupByKey),
             Stage::with_input(StageSpec::Join { build: BuildSide::Stage(3) }, StageInput::Stage(1)),
         ]
+    }
+
+    #[test]
+    fn concurrency_names_round_trip_and_nothing_else_parses() {
+        for mode in MODES {
+            assert_eq!(Concurrency::parse(mode.name()), Some(mode));
+        }
+        for bad in ["Branch", "", "threads"] {
+            assert_eq!(Concurrency::parse(bad), None, "{bad:?} must be rejected");
+        }
     }
 
     #[test]
