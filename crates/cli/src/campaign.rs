@@ -28,12 +28,12 @@ use std::time::{Duration, Instant};
 
 use mondrian_core::fault::{Abort, AbortReason, FaultHandle};
 use mondrian_core::{KeyDist, SystemKind};
-use mondrian_obs::{Counters, Metric, ProgressEvent, ProgressSink};
+use mondrian_obs::{ProgressEvent, ProgressSink};
 use mondrian_pipeline::{
     run_metrics, BuildSide, ExecCache, ExecStore, PipelineReport, Stage, StageInput, StageSpec,
     WaveReport,
 };
-use mondrian_sim::StealQueue;
+use mondrian_sim::{Stat, Stats, StealQueue};
 use mondrian_store::{CacheCounters, Store};
 
 use crate::manifest::{Manifest, RunSpec};
@@ -722,7 +722,7 @@ impl Campaign {
         // cost model's per-stage predictions, the predicted makespan,
         // whether the planned schedule beat the default one, and the
         // weighted-lease / chunk-count deviations it proposed — so
-        // `mondrian diff` and bench ladders can attribute wins.
+        // `mondrian diff` can attribute wins.
         root.insert("schema_version", Value::Int(SCHEMA_VERSION));
         root.insert("exit", exit_json(&self.exit()));
         root.insert(
@@ -741,9 +741,9 @@ impl Campaign {
         root.insert("memo_hits", Value::Int(self.memo_hits as i64));
         // Each run's rollup is computed once: it feeds both the campaign
         // total and the run's own `metrics` block.
-        let run_rollups: Vec<Option<Counters>> =
+        let run_rollups: Vec<Option<Stats>> =
             self.runs.iter().map(|run| run.report.as_ref().map(run_metrics)).collect();
-        let mut rollup = Counters::new();
+        let mut rollup = Stats::new();
         for (run, metrics) in self.runs.iter().zip(&run_rollups) {
             if let Some(metrics) = metrics {
                 rollup.merge(metrics);
@@ -941,13 +941,13 @@ fn wave_json(wave: &WaveReport) -> Value {
 /// keys group at their *first* dot (phase labels keep their own dots —
 /// `phase_ps.partition.scan` is group `phase_ps`, leaf
 /// `partition.scan`), counts as integers, values as floats.
-fn metrics_json(counters: &Counters) -> Value {
+fn metrics_json(stats: &Stats) -> Value {
     let mut groups: BTreeMap<String, BTreeMap<String, Value>> = BTreeMap::new();
-    for (key, metric) in counters.iter() {
+    for (key, stat) in stats.iter() {
         let (group, leaf) = key.split_once('.').unwrap_or(("misc", key));
-        let value = match metric {
-            Metric::Count(n) => Value::Int(n as i64),
-            Metric::Value(v) => Value::Float(v),
+        let value = match stat {
+            Stat::Count(n) => Value::Int(n as i64),
+            Stat::Value(v) => Value::Float(v),
         };
         groups.entry(group.to_string()).or_default().insert(leaf.to_string(), value);
     }
@@ -955,7 +955,7 @@ fn metrics_json(counters: &Counters) -> Value {
 }
 
 /// One run's artifact entry; `metrics` is [`run_metrics`] of its report.
-fn run_json(run: &CampaignRun, metrics: Option<Counters>, timings: bool) -> Value {
+fn run_json(run: &CampaignRun, metrics: Option<Stats>, timings: bool) -> Value {
     let mut table = Value::table();
     table.insert("system", Value::Str(run.spec.system.name().to_string()));
     table.insert("topology", Value::Str(if run.spec.tiny { "tiny" } else { "scaled" }.to_string()));

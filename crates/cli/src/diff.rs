@@ -59,19 +59,6 @@ impl DiffReport {
         self.rows.iter().map(DiffRow::regression_pct).fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// [`DiffReport::render`] with the host core count attached: on a
-    /// one-core host, prepends the note that wall-clock-derived speedups
-    /// carry no signal there (simulated makespans are host-independent,
-    /// but readers routinely eyeball the two side by side).
-    pub fn render_with_host(&self, host_cores: usize) -> String {
-        let mut out = String::new();
-        if host_cores == 1 {
-            out.push_str("note: host_cores=1 — wall-clock speedups not meaningful on this host\n");
-        }
-        out.push_str(&self.render());
-        out
-    }
-
     /// Renders the speedup/regression table.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -274,15 +261,6 @@ mod tests {
         let report = diff(&artifact(1_000_000, 1), &artifact(1_100_000, 1)).unwrap();
         assert!((report.max_regression_pct() - 10.0).abs() < 1e-9);
         assert!(report.render().contains("slower"));
-    }
-
-    #[test]
-    fn one_core_hosts_get_a_speedup_caveat() {
-        let report = diff(&artifact(2_000_000, 1), &artifact(1_000_000, 1)).unwrap();
-        let one = report.render_with_host(1);
-        assert!(one.starts_with("note: host_cores=1"));
-        assert!(one.ends_with(&report.render()), "the table itself is unchanged");
-        assert_eq!(report.render_with_host(8), report.render());
     }
 
     #[test]

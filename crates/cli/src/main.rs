@@ -4,9 +4,6 @@
 //! mondrian run <manifest.(toml|json)> [--out result.json] [--quiet]
 //!              [--concurrency serial|branch|stream|auto] [--jobs N]
 //!              [--timings] [--cache-dir <path>] [--no-cache]
-//! mondrian bench <manifest.(toml|json)> [--out BENCH_sweep.json]
-//!                [--history BENCH_history.jsonl|none]
-//!                [--jobs-list 1,2,4] [--repeat N] [--cache]
 //! mondrian cache <stats|clear|prune --max-bytes N> [--cache-dir <path>]
 //! mondrian explain <manifest.(toml|json)> [result.json]
 //! mondrian diff <a/result.json> <b/result.json> [--fail-on-regression <pct>]
@@ -26,7 +23,6 @@ use std::fs;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use mondrian_cli::bench::{bench, bench_cache, host_cores};
 use mondrian_cli::campaign::{resolve_jobs, run_campaign_store, run_line, store_salt, ExitReason};
 use mondrian_cli::diff::diff;
 use mondrian_cli::junit::junit_xml;
@@ -72,18 +68,6 @@ usage:
       render a result artifact's metrics block (schema 5+): top phases
       by simulated time, memory/NoC/cache traffic, and the FR-FCFS
       scheduler-queue depth histogram
-  mondrian bench <manifest.(toml|json)> [--out <path>] [--history <path>|none]
-                 [--jobs-list 1,2,4] [--repeat N] [--cache]
-      run the campaign once per jobs value, check every artifact is
-      byte-identical to the single-worker baseline, write the wall-clock
-      sweep with events/sec per point (default: BENCH_sweep.json), and
-      append one JSONL trend line (commit, host_cores, sim_wall_ms
-      ladder) to the history file (default: BENCH_history.jsonl;
-      --history none to skip);
-      --cache instead runs a cold/warm ladder against a throwaway
-      persistent store: one cold campaign populates it, then --repeat
-      warm campaigns must byte-match the cold artifact while simulating
-      nothing, with cache_hits recorded per ladder point
   mondrian cache <stats|clear|prune --max-bytes N> [--cache-dir <path>]
       inspect or maintain the persistent result store (--cache-dir, else
       MONDRIAN_CACHE, else ~/.cache/mondrian): stats prints per-kind
@@ -154,7 +138,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("cache") => cmd_cache(&args[1..]),
         Some("profile") => cmd_profile(&args[1..]),
         Some("explain") => cmd_explain(&args[1..]),
@@ -364,103 +347,6 @@ fn cmd_profile(args: &[String]) -> Result<u8, CliError> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     print!("{}", profile(&text)?);
     Ok(0)
-}
-
-fn cmd_bench(args: &[String]) -> Result<u8, CliError> {
-    let mut manifest_path: Option<&str> = None;
-    let mut out_path = "BENCH_sweep.json".to_string();
-    let mut history_path: Option<String> = Some("BENCH_history.jsonl".to_string());
-    let mut jobs_list: Vec<usize> = vec![1, 2, 4];
-    let mut cache = false;
-    let mut repeat = 1usize;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => {
-                out_path = it.next().ok_or("--out needs a path")?.clone();
-            }
-            "--history" => {
-                // "none" disables the append (e.g. throwaway CI runs).
-                let path = it.next().ok_or("--history needs a path (or \"none\")")?.clone();
-                history_path = if path == "none" { None } else { Some(path) };
-            }
-            "--cache" => cache = true,
-            "--jobs-list" => {
-                let list = it.next().ok_or("--jobs-list needs e.g. 1,2,4")?;
-                jobs_list = list
-                    .split(',')
-                    .map(|v| match v.trim().parse::<usize>() {
-                        Ok(n) if n >= 1 => Ok(n),
-                        _ => Err(format!("bad value {v:?} in --jobs-list")),
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--repeat" => {
-                let n = it.next().ok_or("--repeat needs a count")?;
-                repeat = match n.parse() {
-                    Ok(n) if n >= 1 => n,
-                    _ => return Err(format!("--repeat must be a positive count, got {n:?}").into()),
-                };
-            }
-            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}").into()),
-            path => {
-                if manifest_path.replace(path).is_some() {
-                    return Err("exactly one manifest path expected".into());
-                }
-            }
-        }
-    }
-    let path = manifest_path.ok_or(
-        "usage: mondrian bench <manifest> [--out <path>] [--history <path>|none] \
-         [--jobs-list 1,2,4] [--repeat N] [--cache]",
-    )?;
-    let manifest = load_manifest(path)?;
-    let (summary, json, history_line, ok) = if cache {
-        let report = bench_cache(&manifest, repeat);
-        let line = report.history_line(&current_commit());
-        (report.human_summary(), report.to_json(), line, report.ok())
-    } else {
-        let report = bench(&manifest, &jobs_list, repeat);
-        let line = report.history_line(&current_commit());
-        (report.human_summary(), report.to_json(), line, report.ok())
-    };
-    print!("{summary}");
-    std::fs::write(&out_path, json).map_err(|e| format!("cannot write {out_path}: {e}"))?;
-    println!("wrote {out_path}");
-    if let Some(history) = history_path {
-        // The sweep file is a snapshot; the history file accumulates one
-        // line per bench run, so trends survive across commits.
-        use std::io::Write;
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&history)
-            .and_then(|mut f| writeln!(f, "{history_line}"))
-            .map_err(|e| format!("cannot append to {history}: {e}"))?;
-        println!("appended {history}");
-    }
-    // A cross-worker artifact mismatch is a determinism bug, not a
-    // campaign failure mode: internal_error.
-    Ok(if ok { 0 } else { ExitReason::InternalError.code() })
-}
-
-/// The commit the benchmark ran on: `GITHUB_SHA` in CI, the local git
-/// HEAD otherwise, `"unknown"` when neither resolves.
-fn current_commit() -> String {
-    if let Ok(sha) = std::env::var("GITHUB_SHA") {
-        if !sha.is_empty() {
-            return sha.chars().take(12).collect();
-        }
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn cmd_cache(args: &[String]) -> Result<u8, CliError> {
@@ -758,7 +644,7 @@ fn cmd_diff(args: &[String]) -> Result<u8, CliError> {
     };
     let read = |p: &str| std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"));
     let report = diff(&read(a)?, &read(b)?)?;
-    print!("{}", report.render_with_host(host_cores()));
+    print!("{}", report.render());
     if report.rows.is_empty() {
         eprintln!("no matched runs between the two artifacts");
         return Ok(DIFF_EXIT_NO_MATCHES);

@@ -100,6 +100,17 @@ fn missing_manifest_is_an_internal_error() {
 }
 
 #[test]
+fn unknown_command_is_an_internal_error() {
+    // The retired `bench` subcommand must fail like any unknown one.
+    let output =
+        mondrian().args(["bench", "examples/manifests/branch_join.toml"]).output().unwrap();
+    assert_eq!(code(&output), 1);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("unknown command \"bench\""), "stderr: {stderr}");
+    assert!(stderr.contains("usage:"), "stderr: {stderr}");
+}
+
+#[test]
 fn malformed_manifest_exits_invalid_manifest() {
     let dir = TempDir::new("invalid");
     let path = dir.path("bad.toml");

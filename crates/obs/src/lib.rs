@@ -5,16 +5,16 @@
 //! the worker count, or thread scheduling — so traces and metrics are
 //! byte-identical for every `--jobs` value.
 //!
-//! Three surfaces:
+//! Two surfaces, plus one naming helper:
 //!
 //! * [`Tracer`] — spans and counter samples stamped in simulated
 //!   picoseconds, exported as Chrome trace-event JSON (loadable in
 //!   Perfetto / `chrome://tracing`).
-//! * [`Counters`] — the unified hierarchical counter registry behind the
-//!   artifact's `metrics` block: `.`-separated keys, typed count/value
-//!   entries, merge/diff/serialize.
 //! * [`ProgressSink`] — the hook surface (stage started/finished, wave
 //!   completed, sweep point done) the CLI wires to `--progress jsonl`.
+//! * [`exit_counter_key`] — the `engine.exits.<reason>` path under which
+//!   campaign exit reasons roll into the artifact's `metrics` block. The
+//!   block itself is a [`mondrian_sim::Stats`] registry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,7 +23,7 @@ mod counters;
 mod progress;
 mod trace;
 
-pub use counters::{exit_counter_key, Counters, Metric};
+pub use counters::exit_counter_key;
 pub use progress::{ProgressEvent, ProgressSink};
 pub use trace::{Arg, Tracer};
 

@@ -313,6 +313,15 @@ impl Pipeline {
         let base = cfg.system_config();
         let total_vaults = base.total_vaults();
         let mut execs = Vec::with_capacity(dag.waves.len());
+        let serial_exec = |w: usize, wave_branches: &[usize]| {
+            let report = serial_wave(w, wave_branches, dag, serial, total_vaults);
+            obs.emit(&ProgressEvent::WaveCompleted {
+                wave: w,
+                concurrent: false,
+                runtime_ps: report.runtime_ps,
+            });
+            WaveExec { report, leases: None }
+        };
 
         for (w, wave_branches) in dag.waves.iter().enumerate() {
             // Wave boundaries are cooperative wall-time checkpoints.
@@ -332,13 +341,7 @@ impl Pipeline {
             let Some(leases) = leases else {
                 // A serial run, a singleton wave, or more tenants than
                 // vaults: the serial schedule is the only schedule.
-                let report = serial_wave(w, wave_branches, dag, serial, total_vaults);
-                obs.emit(&ProgressEvent::WaveCompleted {
-                    wave: w,
-                    concurrent: false,
-                    runtime_ps: report.runtime_ps,
-                });
-                execs.push(WaveExec { report, leases: None });
+                execs.push(serial_exec(w, wave_branches));
                 continue;
             };
 
@@ -390,7 +393,6 @@ impl Pipeline {
             } else {
                 (0..wave_branches.len()).map(|slot| run_branch(slot, wave_branches[slot])).collect()
             };
-            let mut branch_runs = branch_runs;
             for (slot, &b) in wave_branches.iter().enumerate() {
                 for (&i, run) in dag.branches[b].iter().zip(&branch_runs[slot]) {
                     matches[i] = run.projected[..] == outputs[i][..];
@@ -401,7 +403,11 @@ impl Pipeline {
                 .map(|runs| runs.iter().map(|r| r.report.runtime_ps).sum())
                 .collect();
             let concurrent_time = branch_times.iter().copied().max().unwrap_or(0);
-            let concurrent = concurrent_time < serial_sum;
+            if concurrent_time >= serial_sum {
+                // Concurrency does not pay: charge the serial schedule.
+                execs.push(serial_exec(w, wave_branches));
+                continue;
+            }
 
             // Wave report: per-branch mesh traffic stays attributed to the
             // branch's partition; SerDes traffic merges into one globally
@@ -409,63 +415,41 @@ impl Pipeline {
             let mut serdes = SerDesStats::default();
             let mut branches = Vec::with_capacity(wave_branches.len());
             for (slot, &b) in wave_branches.iter().enumerate() {
-                let runs: &[StageRun] = if concurrent {
-                    &branch_runs[slot]
-                } else {
-                    // Fallback: report the serial execution's accounting.
-                    &[]
-                };
                 let mut mesh = MeshStats::default();
-                let mut runtime: Time = 0;
-                if concurrent {
-                    for r in runs {
-                        mesh.merge(&r.report.mesh_totals);
-                        serdes.merge(&r.report.serdes_totals);
-                        runtime += r.report.runtime_ps;
-                    }
-                } else {
-                    for &i in &dag.branches[b] {
-                        mesh.merge(&serial[i].report.mesh_totals);
-                        serdes.merge(&serial[i].report.serdes_totals);
-                        runtime += serial[i].report.runtime_ps;
-                    }
+                for r in &branch_runs[slot] {
+                    mesh.merge(&r.report.mesh_totals);
+                    serdes.merge(&r.report.serdes_totals);
                 }
-                let (first_vault, vaults) = if concurrent {
-                    (leases[slot].first_vault, leases[slot].vaults)
-                } else {
-                    (0, total_vaults)
-                };
                 branches.push(BranchSchedule {
                     branch: b,
                     stages: dag.branches[b].clone(),
-                    first_vault,
-                    vaults,
-                    runtime_ps: runtime,
+                    first_vault: leases[slot].first_vault,
+                    vaults: leases[slot].vaults,
+                    runtime_ps: branch_times[slot],
                     critical: false,
                     mesh,
                 });
             }
             mark_critical(&mut branches);
-            let charged = if concurrent { concurrent_time } else { serial_sum };
-            obs.emit(&ProgressEvent::WaveCompleted { wave: w, concurrent, runtime_ps: charged });
+            obs.emit(&ProgressEvent::WaveCompleted {
+                wave: w,
+                concurrent: true,
+                runtime_ps: concurrent_time,
+            });
             execs.push(WaveExec {
                 report: WaveReport {
                     wave: w,
-                    concurrent,
-                    runtime_ps: charged,
+                    concurrent: true,
+                    runtime_ps: concurrent_time,
                     serial_runtime_ps: serial_sum,
                     branches,
                     serdes,
                 },
-                leases: concurrent.then_some(leases),
+                leases: Some(leases),
             });
-
-            if concurrent {
-                for (slot, &b) in wave_branches.iter().enumerate() {
-                    let runs = std::mem::take(&mut branch_runs[slot]);
-                    for (&i, run) in dag.branches[b].iter().zip(runs) {
-                        chosen[i] = Some(run);
-                    }
+            for (runs, &b) in branch_runs.into_iter().zip(wave_branches) {
+                for (&i, run) in dag.branches[b].iter().zip(runs) {
+                    chosen[i] = Some(run);
                 }
             }
         }

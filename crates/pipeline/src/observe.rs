@@ -6,8 +6,8 @@
 //! live, so it is byte-identical for every `--jobs` value and thread
 //! interleaving by construction, exactly like the artifact itself.
 
-use mondrian_obs::{Arg, Counters, Tracer};
-use mondrian_sim::{Stat, Time};
+use mondrian_obs::{Arg, Tracer};
+use mondrian_sim::{Stat, Stats, Time};
 
 use crate::report::{PipelineReport, StageOutcome};
 
@@ -49,8 +49,8 @@ fn metric_key<'a>(stat_key: &'a str, buf: &'a mut String) -> &'a str {
 /// Rolls one run's charged stage reports up into the unified counter
 /// registry: engine totals, per-phase simulated time, and the memory /
 /// NoC / cache traffic aggregated across device instances.
-pub fn run_metrics(report: &PipelineReport) -> Counters {
-    let mut c = Counters::new();
+pub fn run_metrics(report: &PipelineReport) -> Stats {
+    let mut c = Stats::new();
     c.add_count("engine.instructions", report.instructions());
     c.add_count("engine.events", report.events());
     c.add_count(
