@@ -229,12 +229,14 @@ fn resolve_jobs_from(
 }
 
 /// The parameters that actually influence a run's simulation. Axes that
-/// cannot change the outcome are normalized away — underprovisioning only
-/// matters on systems with permutable regions — so sweeping them does not
-/// re-simulate.
-fn effective_key(spec: &RunSpec) -> (SystemKind, bool, usize, u64, Option<u64>, Option<u64>) {
-    let underprovision =
-        if spec.system.uses_permutability() { spec.underprovision.map(f64::to_bits) } else { None };
+/// cannot change the outcome are normalized away
+/// ([`mondrian_pipeline::PipelineConfig::effective_underprovision`]), so
+/// sweeping them does not re-simulate.
+fn effective_key(
+    manifest: &Manifest,
+    spec: &RunSpec,
+) -> (SystemKind, bool, usize, u64, Option<u64>, Option<u64>) {
+    let underprovision = manifest.config_for(*spec).effective_underprovision().map(f64::to_bits);
     (
         spec.system,
         spec.tiny,
@@ -369,10 +371,11 @@ pub fn run_campaign_store<F: FnMut(&CampaignRun)>(
             unique.push(i);
             continue;
         }
-        match first_of.get(&effective_key(spec)) {
+        let key = effective_key(manifest, spec);
+        match first_of.get(&key) {
             Some(&j) => owner.push(j),
             None => {
-                first_of.insert(effective_key(spec), i);
+                first_of.insert(key, i);
                 owner.push(i);
                 unique.push(i);
             }
@@ -405,12 +408,7 @@ pub fn run_campaign_store<F: FnMut(&CampaignRun)>(
             KeyDist::Uniform => None,
             KeyDist::Zipf(t) => Some(t.to_bits()),
         };
-        let underprovision = cfg
-            .system
-            .uses_permutability()
-            .then_some(cfg.underprovision)
-            .flatten()
-            .map(f64::to_bits);
+        let underprovision = cfg.effective_underprovision().map(f64::to_bits);
         format!(
             "run1|plan={plan_digest:016x}|sys={}|tiny={}|tpv={}|seed={}|theta={theta:?}|\
              bound={:?}|up={underprovision:?}|conc={}|max_events={:?}",

@@ -7,7 +7,8 @@
 //! (hash-based vs sort-based, scalar vs SIMD, conventional vs permutable
 //! shuffles), runs each phase on the [`Machine`], commits the functional
 //! data transformation between phases, and verifies the final result
-//! against reference implementations.
+//! against the operator's registered reference
+//! ([`mondrian_ops::Operator::reference`]) over the relations it ran on.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -119,8 +120,10 @@ impl ExperimentBuilder {
     pub fn tiny(mut self) -> Self {
         let kind = self.cfg.kind;
         let tpv = self.cfg.tuples_per_vault.min(512);
+        let seed = self.cfg.seed;
         self.cfg = SystemConfig::tiny(kind);
         self.cfg.tuples_per_vault = tpv;
+        self.cfg.seed = seed;
         self
     }
 
@@ -282,7 +285,8 @@ pub struct Report {
     pub energy: EnergyBreakdown,
     /// All hardware statistics.
     pub stats: Stats,
-    /// Whether the functional output matched the reference.
+    /// Whether the functional output equals the operator's registered
+    /// reference over the run's input relations.
     pub verified: bool,
     /// Number of shuffle retry rounds taken (§5.4 overflow handling).
     pub shuffle_retries: u32,
@@ -355,7 +359,19 @@ struct StreamDest {
 /// vectors: handing a partition to a kernel is a refcount bump).
 type VaultData = Vec<Data>;
 
-pub(crate) struct Experiment {
+/// What one operator driver ran: the invocation (spec and whole input
+/// relations) and the output it captured. [`Experiment::run`] verifies the
+/// output against the registered reference of that same invocation.
+struct Ran {
+    spec: OpSpec,
+    inputs: Vec<Data>,
+    /// Join build side R (the derived dimension when none was injected).
+    build: Option<Data>,
+    output: StageOutput,
+    summary: String,
+}
+
+struct Experiment {
     op: OperatorKind,
     cfg: SystemConfig,
     dist: KeyDist,
@@ -473,29 +489,29 @@ impl Experiment {
         (total as u64 / divisor).max(1)
     }
 
-    fn generate_single(&self) -> VaultData {
-        if let Some(input) = self.inputs.first() {
-            return self.chunk_to_vaults(input);
-        }
-        let n = self.cfg.tuples_per_vault;
-        let total = n * self.vaults();
-        let all = self.gen_relation(total, self.generated_key_bound(total), self.cfg.seed);
-        all.chunks(n).map(Arc::from).collect()
+    /// The primary input relation: whole, and split across the vaults.
+    fn generate_single(&self) -> (Data, VaultData) {
+        let whole: Data = match self.inputs.first() {
+            Some(input) => input.clone(),
+            None => {
+                let total = self.cfg.tuples_per_vault * self.vaults();
+                self.gen_relation(total, self.generated_key_bound(total), self.cfg.seed).into()
+            }
+        };
+        let vaulted = self.chunk_to_vaults(&whole);
+        (whole, vaulted)
     }
 
-    fn generate_join(&self) -> (VaultData, VaultData) {
+    /// The join's build side R and probe side S.
+    fn generate_join(&self) -> (Data, Data) {
         if let Some(s) = self.inputs.first() {
-            let derived: Vec<Tuple>;
-            let r: &[Tuple] = match &self.build {
-                Some(r) => r,
+            let r = match &self.build {
+                Some(r) => r.clone(),
                 // Derived dimension: one tuple per distinct probe key, with
                 // a seeded deterministic payload.
-                None => {
-                    derived = mondrian_ops::operator::derive_dimension(s, self.cfg.seed);
-                    &derived
-                }
+                None => mondrian_ops::operator::derive_dimension(s, self.cfg.seed).into(),
             };
-            return (self.chunk_to_vaults(r), self.chunk_to_vaults(s));
+            return (r, s.clone());
         }
         let s_per_vault = self.cfg.tuples_per_vault;
         let r_per_vault = (s_per_vault / self.cfg.r_divisor).max(1);
@@ -504,10 +520,7 @@ impl Experiment {
             s_per_vault * self.vaults(),
             self.cfg.seed,
         );
-        (
-            r.chunks(r_per_vault).map(Arc::from).collect(),
-            s.chunks(s_per_vault).map(Arc::from).collect(),
-        )
+        (r.into(), s.into())
     }
 
     /// Key upper bound of the whole dataset (for range partitioning).
@@ -889,19 +902,30 @@ impl Experiment {
     // ----- operators ------------------------------------------------------
 
     fn run(mut self) -> Report {
-        // Dispatch through the engine-side operator registry — no
-        // `match OperatorKind` on the execution path.
-        let (verified, summary, output) = crate::opexec::engine_operator(self.op).run(&mut self);
-        self.finish(verified, summary, output)
+        let ran = match self.op {
+            OperatorKind::Scan => self.run_scan(),
+            OperatorKind::Sort => self.run_sort(),
+            OperatorKind::GroupBy => self.run_groupby(),
+            OperatorKind::Join => self.run_join(),
+            OperatorKind::Union => self.run_union(),
+            OperatorKind::Cogroup => self.run_cogroup(),
+            OperatorKind::FlatMap => self.run_flat_map(),
+        };
+        // One check for every operator: the captured output must equal
+        // the registered reference over the relations the driver ran on.
+        let inputs: Vec<&[Tuple]> = ran.inputs.iter().map(|r| &r[..]).collect();
+        let inv =
+            OpInvocation { inputs: &inputs, build: ran.build.as_deref(), seed: self.cfg.seed };
+        let verified = ran.output == operator(self.op).reference(&ran.spec, &inv);
+        self.finish(verified, ran.summary, ran.output)
     }
 
-    pub(crate) fn run_scan(&mut self) -> (bool, String, StageOutput) {
-        let input = self.generate_single();
+    fn run_scan(&mut self) -> Ran {
+        let (whole, input) = self.generate_single();
         let pred = self
             .pred
-            .unwrap_or_else(|| ScanPredicate::KeyEquals(input[0].first().map_or(0, |t| t.key)));
+            .unwrap_or_else(|| ScanPredicate::KeyEquals(whole.first().map_or(0, |t| t.key)));
         let matches: Vec<Tuple> = input.iter().flat_map(|d| scan_filter(d, pred)).collect();
-        let expect = matches.len();
         let simd = self.cfg.kind.is_mondrian();
         let kernels: KernelSet = (0..self.units())
             .map(|u| {
@@ -928,7 +952,13 @@ impl Experiment {
             })
             .collect();
         self.run_phase_ok(kernels, "probe.scan");
-        (true, format!("scan: {expect} matches of {pred:?}"), StageOutput::Tuples(matches))
+        Ran {
+            spec: OpSpec { pred: Some(pred), ..OpSpec::new(OperatorKind::Scan) },
+            inputs: vec![whole],
+            build: None,
+            summary: format!("scan: {} matches of {pred:?}", matches.len()),
+            output: StageOutput::Tuples(matches),
+        }
     }
 
     /// Sorts each destination partition with the system's sort and returns
@@ -1026,10 +1056,10 @@ impl Experiment {
         parts
     }
 
-    pub(crate) fn run_sort(&mut self) -> (bool, String, StageOutput) {
+    fn run_sort(&mut self) -> Ran {
         let scheme = self.partition_scheme();
         let cursor_slot = scheme.parts() as usize;
-        let (parts, mut expect) = if let Some(chunks) = self.stream.clone() {
+        let (parts, whole) = if let Some(chunks) = self.stream.clone() {
             let parts = self.partition_streamed(
                 &chunks,
                 Region::InputA,
@@ -1038,9 +1068,9 @@ impl Experiment {
                 0,
                 cursor_slot,
             );
-            (parts, self.inputs[0].to_vec())
+            (parts, self.inputs[0].clone())
         } else {
-            let input = self.generate_single();
+            let (whole, input) = self.generate_single();
             let kernels = self.histogram_kernels(&input, Region::InputA, scheme, 0);
             self.run_phase_ok(kernels, "partition.histogram");
             let parts = self.shuffle_relation(
@@ -1051,25 +1081,24 @@ impl Experiment {
                 cursor_slot,
                 "partition.scatter",
             );
-            let whole = input.iter().flat_map(|d| d.iter().copied()).collect();
             (parts, whole)
         };
         let sorted_parts = self.local_sort(parts, Region::OutA, Region::PongA, "local");
-        // Verify: concatenation in partition order is the sorted dataset.
-        let mut combined: Vec<Tuple> = Vec::new();
-        for p in &sorted_parts {
-            combined.extend_from_slice(p);
+        // The output is the concatenation in partition order.
+        let combined: Vec<Tuple> = sorted_parts.concat();
+        Ran {
+            spec: OpSpec::new(OperatorKind::Sort),
+            inputs: vec![whole],
+            build: None,
+            summary: format!("sort: {} tuples totally ordered", combined.len()),
+            output: StageOutput::Tuples(combined),
         }
-        expect.sort_unstable();
-        let ok = combined == expect;
-        let summary = format!("sort: {} tuples totally ordered", combined.len());
-        (ok, summary, StageOutput::Tuples(combined))
     }
 
-    pub(crate) fn run_groupby(&mut self) -> (bool, String, StageOutput) {
+    fn run_groupby(&mut self) -> Ran {
         let scheme = self.partition_scheme();
         let cursor_slot = scheme.parts() as usize;
-        let (parts, expect) = if let Some(chunks) = self.stream.clone() {
+        let (parts, whole) = if let Some(chunks) = self.stream.clone() {
             let parts = self.partition_streamed(
                 &chunks,
                 Region::InputA,
@@ -1078,9 +1107,9 @@ impl Experiment {
                 0,
                 cursor_slot,
             );
-            (parts, reference::grouped(&self.inputs[0]))
+            (parts, self.inputs[0].clone())
         } else {
-            let input = self.generate_single();
+            let (whole, input) = self.generate_single();
             let kernels = self.histogram_kernels(&input, Region::InputA, scheme, 0);
             self.run_phase_ok(kernels, "partition.histogram");
             let parts = self.shuffle_relation(
@@ -1091,13 +1120,7 @@ impl Experiment {
                 cursor_slot,
                 "partition.scatter",
             );
-            let mut expect: BTreeMap<u64, Aggregates> = BTreeMap::new();
-            for d in &input {
-                for (k, a) in reference::grouped(d) {
-                    expect.entry(k).or_default().merge(&a);
-                }
-            }
-            (parts, expect)
+            (parts, whole)
         };
         let mut got: BTreeMap<u64, Aggregates> = BTreeMap::new();
         if self.cfg.kind.probe_is_sorted() {
@@ -1184,13 +1207,18 @@ impl Experiment {
                 }
             }
         }
-        let ok = got == expect;
-        let summary = format!("group by: {} groups aggregated", got.len());
-        (ok, summary, StageOutput::Groups(got))
+        Ran {
+            spec: OpSpec::new(OperatorKind::GroupBy),
+            inputs: vec![whole],
+            build: None,
+            summary: format!("group by: {} groups aggregated", got.len()),
+            output: StageOutput::Groups(got),
+        }
     }
 
-    pub(crate) fn run_join(&mut self) -> (bool, String, StageOutput) {
-        let (r_in, s_in) = self.generate_join();
+    fn run_join(&mut self) -> Ran {
+        let (r, s) = self.generate_join();
+        let r_in = self.chunk_to_vaults(&r);
         let scheme = self.partition_scheme();
         let parts_n = scheme.parts() as usize;
         let (r_parts, s_parts) = if let Some(chunks) = self.stream.clone() {
@@ -1217,6 +1245,7 @@ impl Experiment {
             (r_parts, s_parts)
         } else {
             // Histograms for both relations (separate counter arrays).
+            let s_in = self.chunk_to_vaults(&s);
             let kernels = self.histogram_kernels(&r_in, Region::InputA, scheme, 0);
             self.run_phase_ok(kernels, "partition.histogram");
             let kernels = self.histogram_kernels(&s_in, Region::InputB, scheme, parts_n * 2);
@@ -1379,30 +1408,20 @@ impl Experiment {
             }
         }
         let rows = reference::canonical(rows);
-        let matches = rows.len();
-        // Independent match count: per-key R multiplicities folded over S.
-        // For the paper's foreign-key datasets this equals |S|; it also
-        // covers injected relations with arbitrary key multiplicity.
-        let expect: usize = {
-            let mut r_count: BTreeMap<u64, usize> = BTreeMap::new();
-            for t in r_in.iter().flat_map(|c| c.iter()) {
-                *r_count.entry(t.key).or_insert(0) += 1;
-            }
-            s_in.iter()
-                .flat_map(|c| c.iter())
-                .map(|t| r_count.get(&t.key).copied().unwrap_or(0))
-                .sum()
-        };
-        let ok = matches == expect;
-        let summary = format!("join: {matches} matched rows (expected {expect})");
-        (ok, summary, StageOutput::Rows(rows))
+        Ran {
+            spec: OpSpec::new(OperatorKind::Join),
+            inputs: vec![s],
+            build: Some(r),
+            summary: format!("join: {} matched rows", rows.len()),
+            output: StageOutput::Rows(rows),
+        }
     }
 
     /// Union: the multi-input concatenating scan. Every input relation is
     /// chunked across the vaults and each compute unit chains a match-all
     /// scan over each input's chunk, appending to its vault's Result
     /// region — so the simulated traffic is exactly the concatenation's.
-    pub(crate) fn run_union(&mut self) -> (bool, String, StageOutput) {
+    fn run_union(&mut self) -> Ran {
         let rels: Vec<Data> = if self.inputs.is_empty() {
             // Standalone: the configured dataset split into two seeded
             // halves, so the operator is exercised as a true multi-input.
@@ -1472,23 +1491,21 @@ impl Experiment {
         // the original relations.
         let tuples: Vec<Tuple> =
             chunked.iter().flat_map(|c| c.iter().flat_map(|chunk| chunk.iter().copied())).collect();
-        let inputs_ref: Vec<&[Tuple]> = rels.iter().map(|r| &r[..]).collect();
-        let expect = operator(OperatorKind::Union).reference(
-            &OpSpec::new(OperatorKind::Union),
-            &OpInvocation { inputs: &inputs_ref, build: None, seed: self.cfg.seed },
-        );
-        let got = StageOutput::Tuples(tuples);
-        let ok = expect == got;
-        let summary = format!("union: {} tuples from {} inputs", got.rows(), rels.len());
-        (ok, summary, got)
+        Ran {
+            spec: OpSpec::new(OperatorKind::Union),
+            summary: format!("union: {} tuples from {} inputs", tuples.len(), rels.len()),
+            inputs: rels,
+            build: None,
+            output: StageOutput::Tuples(tuples),
+        }
     }
 
     /// FlatMap: the 1→N expanding scan. The kernels issue `fanout`× the
     /// stores of a plain scan, so the memory/mesh/SerDes accounting
     /// carries the output-amplification factor, and the captured
     /// [`StageOutput::Expanded`] records it for downstream consumers.
-    pub(crate) fn run_flat_map(&mut self) -> (bool, String, StageOutput) {
-        let input = self.generate_single();
+    fn run_flat_map(&mut self) -> Ran {
+        let (whole, input) = self.generate_single();
         let fanout = self.fanout.unwrap_or(2).max(1);
         let pred = self.pred.unwrap_or(ScanPredicate::All);
         let max_chunk = input.iter().map(|d| d.len()).max().unwrap_or(0);
@@ -1532,24 +1549,17 @@ impl Experiment {
             .iter()
             .flat_map(|chunk| mondrian_ops::flat_map::flat_map_expand(chunk, pred, fanout))
             .collect();
-        let whole: Vec<Tuple>;
-        let reference_input: &[Tuple] = match self.inputs.first() {
-            Some(rel) => rel,
-            None => {
-                whole = input.iter().flat_map(|d| d.iter().copied()).collect();
-                &whole
-            }
-        };
-        let expect = operator(OperatorKind::FlatMap).reference(
-            &OpSpec { kind: OperatorKind::FlatMap, pred: Some(pred), fanout },
-            &OpInvocation { inputs: &[reference_input], build: None, seed: self.cfg.seed },
-        );
-        let got = StageOutput::Expanded { tuples, fanout };
-        let ok = expect == got;
-        let matches = got.rows() / fanout as usize;
-        let summary =
-            format!("flat_map: {matches} matches expanded x{fanout} to {} tuples", got.rows());
-        (ok, summary, got)
+        let matches = tuples.len() / fanout as usize;
+        Ran {
+            spec: OpSpec { kind: OperatorKind::FlatMap, pred: Some(pred), fanout },
+            inputs: vec![whole],
+            build: None,
+            summary: format!(
+                "flat_map: {matches} matches expanded x{fanout} to {} tuples",
+                tuples.len()
+            ),
+            output: StageOutput::Expanded { tuples, fanout },
+        }
     }
 
     /// Cogroup: the multi-input grouped join. Both relations shuffle on
@@ -1557,7 +1567,7 @@ impl Experiment {
     /// join's two sides), then each partition groups *both* sides by key
     /// — sorted aggregation on the sort-based family, hash aggregation on
     /// the hash-based one — and the per-key groups are paired.
-    pub(crate) fn run_cogroup(&mut self) -> (bool, String, StageOutput) {
+    fn run_cogroup(&mut self) -> Ran {
         let (a_full, b_full): (Data, Data) = match self.inputs.len() {
             2 => (self.inputs[0].clone(), self.inputs[1].clone()),
             0 => {
@@ -1746,19 +1756,18 @@ impl Experiment {
                 }
             }
         }
-        let expect = operator(OperatorKind::Cogroup).reference(
-            &OpSpec::new(OperatorKind::Cogroup),
-            &OpInvocation { inputs: &[&a_full, &b_full], build: None, seed: self.cfg.seed },
-        );
-        let got = StageOutput::CoGroups(got);
-        let ok = expect == got;
-        let summary = format!(
-            "cogroup: {} keys across {} + {} tuples",
-            got.rows(),
-            a_full.len(),
-            b_full.len()
-        );
-        (ok, summary, got)
+        Ran {
+            spec: OpSpec::new(OperatorKind::Cogroup),
+            summary: format!(
+                "cogroup: {} keys across {} + {} tuples",
+                got.len(),
+                a_full.len(),
+                b_full.len()
+            ),
+            inputs: vec![a_full, b_full],
+            build: None,
+            output: StageOutput::CoGroups(got),
+        }
     }
 
     fn finish(mut self, verified: bool, summary: String, output: StageOutput) -> Report {
@@ -1789,14 +1798,12 @@ impl Experiment {
         };
         let dram_bits =
             (stats.sum_by_suffix("read_bytes") + stats.sum_by_suffix("write_bytes")) * 8.0;
-        let serdes_bits = stats.sum_by_prefix("serdes.");
         // serdes busy bits: sum only the busy_bits entries.
         let serdes_busy: f64 = stats
             .iter()
             .filter(|(k, _)| k.starts_with("serdes.") && k.ends_with("busy_bits"))
             .map(|(_, s)| s.as_f64())
             .sum();
-        let _ = serdes_bits;
         let llc_accesses =
             stats.count("llc.hits") + stats.count("llc.misses") + stats.count("llc.pending_hits");
         let activity = SystemActivity {
@@ -1940,6 +1947,16 @@ mod tests {
         let rel: Vec<Tuple> = (0..64).map(|i| Tuple::new(i, i)).collect();
         let chunks: Vec<Arc<[Tuple]>> = rel.chunks(16).map(Arc::from).collect();
         let _ = ExperimentBuilder::new(OperatorKind::Scan).tiny().streamed_input(chunks).run();
+    }
+
+    #[test]
+    fn seed_survives_the_tiny_topology() {
+        let run = |b: ExperimentBuilder| b.system(SystemKind::Nmp).tuples_per_vault(64).run();
+        let before = run(ExperimentBuilder::new(OperatorKind::Sort).seed(7).tiny());
+        let after = run(ExperimentBuilder::new(OperatorKind::Sort).tiny().seed(7));
+        let default = run(ExperimentBuilder::new(OperatorKind::Sort).tiny());
+        assert_eq!(format!("{before:?}"), format!("{after:?}"), "seed set before tiny() is kept");
+        assert_ne!(before.output, default.output, "seed 7 is not the default seed");
     }
 
     #[test]

@@ -37,7 +37,6 @@ pub mod config;
 pub mod experiment;
 pub mod fault;
 pub mod layout;
-mod opexec;
 pub mod system;
 
 pub use config::{PartitionSpec, SystemConfig, SystemKind};

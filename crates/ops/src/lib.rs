@@ -23,9 +23,10 @@
 //!    simulated access pattern is the real access pattern.
 //!
 //! The operators themselves are organized as an **open IR** ([`operator`]):
-//! each one is a trait object bundling its functional executor, its naive
-//! reference executor and its instrumented phase plan, registered in a
-//! static registry the execution layers dispatch through. Beyond the
+//! each one is a trait object bundling its descriptor (the Table 2 phase
+//! plan and dataset-shaping facts) with its naive reference executor —
+//! the one statement of what it computes, which every engine run and
+//! pipeline stage is verified against. Beyond the
 //! paper's four, the IR carries the multi-input and 1→N stage kinds that
 //! complete Table 1 — `Union` (concatenating scan), `Cogroup`
 //! (multi-input grouped join) and `FlatMap` (1→N expanding scan,

@@ -1,35 +1,29 @@
 //! The open operator IR.
 //!
 //! Every operator of the engine is a first-class trait object
-//! ([`Operator`]) bundling three things:
+//! ([`Operator`]) bundling two things:
 //!
 //! 1. a static **descriptor** ([`OpProfile`]): identity, display name,
 //!    input arity, the Table 2 phase plan, and the dataset-shaping facts
 //!    the experiment driver needs (range vs hash partitioning, group-key
-//!    shrinking),
-//! 2. a **functional executor** ([`Operator::execute`]): the real
-//!    algorithm-family implementation over tuple data (radix grouping,
-//!    bitonic + merge sort, index probe joins, ...), and
-//! 3. a **naive reference executor** ([`Operator::reference`]): the
-//!    ground truth every execution — functional, engine-simulated, serial
-//!    or branch-concurrent — is verified byte-identically against.
+//!    shrinking), and
+//! 2. a **naive reference executor** ([`Operator::reference`]): the one
+//!    statement of what the operator computes. Every execution —
+//!    engine-simulated, serial or branch-concurrent, standalone or as a
+//!    pipeline stage — is verified byte-identically against it.
 //!
 //! The operators live in a static [`REGISTRY`]; `core` and `pipeline`
 //! dispatch through [`operator`] and descriptor fields instead of
-//! matching on [`OperatorKind`], so adding a stage kind is a one-file
-//! change: implement the trait, register the object.
+//! matching on [`OperatorKind`].
 
 use std::collections::BTreeMap;
 
 use mondrian_workloads::Tuple;
 
 use crate::agg::Aggregates;
-use crate::flat_map::flat_map_expand;
-use crate::join::{build_index, probe_index};
 use crate::phases::{OperatorKind, PhaseInfo};
 use crate::reference::{self, JoinRow};
-use crate::scan::{scan_filter, ScanPredicate};
-use crate::sort::{bitonic_runs, merge_pass, BITONIC_RUN};
+use crate::scan::ScanPredicate;
 
 /// Relative per-tuple work hints for the planner's cost model
 /// ([`mondrian_pipeline::plan`]): abstract cycles per tuple for each
@@ -196,11 +190,6 @@ pub trait Operator: Sync {
     /// The operator's static descriptor.
     fn profile(&self) -> OpProfile;
 
-    /// The functional executor: the real algorithm-family implementation
-    /// over tuple data. Its output must equal [`Operator::reference`] for
-    /// every invocation.
-    fn execute(&self, spec: &OpSpec, inv: &OpInvocation) -> OpOutput;
-
     /// The naive reference executor — ground truth for verification.
     fn reference(&self, spec: &OpSpec, inv: &OpInvocation) -> OpOutput;
 }
@@ -210,11 +199,6 @@ pub trait Operator: Sync {
 pub fn derive_dimension(probe: &[Tuple], seed: u64) -> Vec<Tuple> {
     let keys: std::collections::BTreeSet<u64> = probe.iter().map(|t| t.key).collect();
     keys.into_iter().map(|k| Tuple::new(k, crate::mix64(k ^ seed))).collect()
-}
-
-/// Hash-table bits for roughly 2× occupancy over `entries`.
-fn table_bits(entries: usize) -> u32 {
-    (entries.max(2) * 2).next_power_of_two().trailing_zeros()
 }
 
 /// The effective predicate of a scan-backed invocation: the override, or
@@ -252,11 +236,6 @@ impl Operator for ScanOp {
         }
     }
 
-    fn execute(&self, spec: &OpSpec, inv: &OpInvocation) -> OpOutput {
-        let input = inv.single();
-        OpOutput::Tuples(scan_filter(input, scan_pred(spec, input)))
-    }
-
     fn reference(&self, spec: &OpSpec, inv: &OpInvocation) -> OpOutput {
         let input = inv.single();
         OpOutput::Tuples(reference::filtered(input, scan_pred(spec, input)))
@@ -290,19 +269,6 @@ impl Operator for SortOp {
                 output_cycles: 1,
             },
         }
-    }
-
-    fn execute(&self, _spec: &OpSpec, inv: &OpInvocation) -> OpOutput {
-        // The NMP family's functional sort: bitonic first pass, then
-        // doubling merge passes — a genuinely different code path from
-        // the reference's comparison sort.
-        let mut v = bitonic_runs(inv.single(), BITONIC_RUN);
-        let mut run = BITONIC_RUN;
-        while run < v.len().max(1) {
-            v = merge_pass(&v, run);
-            run *= 2;
-        }
-        OpOutput::Tuples(v)
     }
 
     fn reference(&self, _spec: &OpSpec, inv: &OpInvocation) -> OpOutput {
@@ -339,30 +305,12 @@ impl Operator for GroupByOp {
         }
     }
 
-    fn execute(&self, _spec: &OpSpec, inv: &OpInvocation) -> OpOutput {
-        let input = inv.single();
-        OpOutput::Groups(crate::groupby::hash_group(input, table_bits(input.len())))
-    }
-
     fn reference(&self, _spec: &OpSpec, inv: &OpInvocation) -> OpOutput {
         OpOutput::Groups(reference::grouped(inv.single()))
     }
 }
 
 struct JoinOp;
-
-impl JoinOp {
-    /// The build side: the invocation's, or the derived PK dimension.
-    fn build<'a>(inv: &OpInvocation<'a>, derived: &'a mut Vec<Tuple>) -> &'a [Tuple] {
-        match inv.build {
-            Some(r) => r,
-            None => {
-                *derived = derive_dimension(inv.inputs[0], inv.seed);
-                derived
-            }
-        }
-    }
-}
 
 impl Operator for JoinOp {
     fn profile(&self) -> OpProfile {
@@ -391,18 +339,17 @@ impl Operator for JoinOp {
         }
     }
 
-    fn execute(&self, _spec: &OpSpec, inv: &OpInvocation) -> OpOutput {
-        let s = inv.single();
-        let mut derived = Vec::new();
-        let r = Self::build(inv, &mut derived);
-        let idx = build_index(r, table_bits(r.len()));
-        OpOutput::Rows(reference::canonical(probe_index(&idx, s)))
-    }
-
     fn reference(&self, _spec: &OpSpec, inv: &OpInvocation) -> OpOutput {
         let s = inv.single();
-        let mut derived = Vec::new();
-        let r = Self::build(inv, &mut derived);
+        // The build side: the invocation's, or the derived PK dimension.
+        let derived;
+        let r = match inv.build {
+            Some(r) => r,
+            None => {
+                derived = derive_dimension(s, inv.seed);
+                &derived[..]
+            }
+        };
         let mut by_key: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
         for t in r {
             by_key.entry(t.key).or_default().push(t.payload);
@@ -446,15 +393,6 @@ impl Operator for UnionOp {
         }
     }
 
-    fn execute(&self, _spec: &OpSpec, inv: &OpInvocation) -> OpOutput {
-        let total = inv.inputs.iter().map(|r| r.len()).sum();
-        let mut out = Vec::with_capacity(total);
-        for rel in inv.inputs {
-            out.extend_from_slice(rel);
-        }
-        OpOutput::Tuples(out)
-    }
-
     fn reference(&self, _spec: &OpSpec, inv: &OpInvocation) -> OpOutput {
         OpOutput::Tuples(reference::unioned(inv.inputs))
     }
@@ -487,19 +425,6 @@ impl Operator for CogroupOp {
                 output_cycles: 1,
             },
         }
-    }
-
-    fn execute(&self, _spec: &OpSpec, inv: &OpInvocation) -> OpOutput {
-        assert_eq!(inv.inputs.len(), 2, "cogroup takes exactly two input relations");
-        let (a, b) = (inv.inputs[0], inv.inputs[1]);
-        let mut out: BTreeMap<u64, (Aggregates, Aggregates)> = BTreeMap::new();
-        for (k, agg) in crate::groupby::hash_group(a, table_bits(a.len())) {
-            out.entry(k).or_default().0.merge(&agg);
-        }
-        for (k, agg) in crate::groupby::hash_group(b, table_bits(b.len())) {
-            out.entry(k).or_default().1.merge(&agg);
-        }
-        OpOutput::CoGroups(out)
     }
 
     fn reference(&self, _spec: &OpSpec, inv: &OpInvocation) -> OpOutput {
@@ -535,12 +460,6 @@ impl Operator for FlatMapOp {
                 output_cycles: 1,
             },
         }
-    }
-
-    fn execute(&self, spec: &OpSpec, inv: &OpInvocation) -> OpOutput {
-        let pred = spec.pred.unwrap_or(ScanPredicate::All);
-        let fanout = spec.fanout.max(1);
-        OpOutput::Expanded { tuples: flat_map_expand(inv.single(), pred, fanout), fanout }
     }
 
     fn reference(&self, spec: &OpSpec, inv: &OpInvocation) -> OpOutput {
@@ -581,26 +500,6 @@ mod tests {
         for (kind, op) in OperatorKind::ALL.into_iter().zip(REGISTRY) {
             assert_eq!(op.profile().kind, kind, "registry order matches OperatorKind::ALL");
             assert_eq!(operator(kind).profile().kind, kind);
-        }
-    }
-
-    #[test]
-    fn every_operator_execute_matches_reference() {
-        let a: Vec<Tuple> = (0..200).map(|i| Tuple::new(i % 13, i * 3 + 1)).collect();
-        let b: Vec<Tuple> = (0..150).map(|i| Tuple::new(i % 7, i)).collect();
-        for kind in OperatorKind::ALL {
-            let op = operator(kind);
-            let profile = op.profile();
-            let inputs: Vec<&[Tuple]> = (0..profile.min_inputs.max(1))
-                .map(|i| if i % 2 == 0 { &a[..] } else { &b[..] })
-                .collect();
-            let spec = OpSpec { fanout: 3, ..OpSpec::new(kind) };
-            let invocation = inv(&inputs);
-            assert_eq!(
-                op.execute(&spec, &invocation),
-                op.reference(&spec, &invocation),
-                "{kind:?} functional executor diverged from its reference"
-            );
         }
     }
 
@@ -663,7 +562,7 @@ mod tests {
     fn flat_map_output_carries_amplification() {
         let rel: Vec<Tuple> = (0..10).map(|i| Tuple::new(i, i)).collect();
         let spec = OpSpec { fanout: 4, ..OpSpec::new(OperatorKind::FlatMap) };
-        let out = operator(OperatorKind::FlatMap).execute(&spec, &inv(&[&rel]));
+        let out = operator(OperatorKind::FlatMap).reference(&spec, &inv(&[&rel]));
         assert_eq!(out.rows(), 40);
         assert_eq!(out.amplification(), 4);
         assert_eq!(OpOutput::Tuples(rel).amplification(), 1);

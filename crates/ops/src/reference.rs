@@ -40,11 +40,6 @@ pub fn grouped(rel: &[Tuple]) -> BTreeMap<u64, Aggregates> {
     out
 }
 
-/// Ground-truth scan: tuples whose key equals `needle`.
-pub fn scanned(rel: &[Tuple], needle: u64) -> Vec<Tuple> {
-    rel.iter().copied().filter(|t| t.key == needle).collect()
-}
-
 /// Ground-truth predicated scan, preserving input order.
 pub fn filtered(rel: &[Tuple], pred: ScanPredicate) -> Vec<Tuple> {
     rel.iter().copied().filter(|t| pred.matches(t)).collect()

@@ -49,11 +49,6 @@ impl ScanPredicate {
     }
 }
 
-/// Functional scan: all tuples whose key equals `needle`.
-pub fn scan_matches(data: &[Tuple], needle: u64) -> Vec<Tuple> {
-    scan_filter(data, ScanPredicate::KeyEquals(needle))
-}
-
 /// Functional scan under an arbitrary [`ScanPredicate`].
 pub fn scan_filter(data: &[Tuple], pred: ScanPredicate) -> Vec<Tuple> {
     data.iter().copied().filter(|t| pred.matches(t)).collect()
@@ -189,14 +184,6 @@ mod tests {
 
     fn collect_ops(k: &mut dyn Kernel) -> Vec<MicroOp> {
         std::iter::from_fn(|| k.next_op()).collect()
-    }
-
-    #[test]
-    fn functional_scan_matches_reference() {
-        let data: Vec<Tuple> = (0..100).map(|i| Tuple::new(i % 10, i)).collect();
-        let hits = scan_matches(&data, 3);
-        assert_eq!(hits, crate::reference::scanned(&data, 3));
-        assert_eq!(hits.len(), 10);
     }
 
     #[test]

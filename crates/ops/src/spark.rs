@@ -1,15 +1,10 @@
 //! Spark-operator layer (Table 1 of the paper).
 //!
 //! Table 1 characterizes the common Spark transformations by the basic
-//! physical operator each one reduces to. This module encodes that mapping
-//! and provides small functional executors so that example pipelines can
-//! run end-to-end on real data.
+//! physical operator each one reduces to. This module encodes that
+//! mapping; what each basic operator computes is stated once, by its
+//! registered reference executor ([`crate::operator`]).
 
-use std::collections::BTreeMap;
-
-use mondrian_workloads::Tuple;
-
-use crate::agg::Aggregates;
 use crate::phases::OperatorKind;
 
 /// Spark transformations from Table 1.
@@ -75,82 +70,6 @@ impl SparkOp {
     }
 }
 
-/// Functional `Filter`: keeps tuples satisfying the predicate.
-pub fn filter<F: Fn(&Tuple) -> bool>(rel: &[Tuple], pred: F) -> Vec<Tuple> {
-    rel.iter().copied().filter(|t| pred(t)).collect()
-}
-
-/// Functional `Map`: transforms every tuple.
-pub fn map<F: Fn(Tuple) -> Tuple>(rel: &[Tuple], f: F) -> Vec<Tuple> {
-    rel.iter().copied().map(f).collect()
-}
-
-/// Functional `MapValues`: transforms payloads, keys untouched.
-pub fn map_values<F: Fn(u64) -> u64>(rel: &[Tuple], f: F) -> Vec<Tuple> {
-    rel.iter().map(|t| Tuple::new(t.key, f(t.payload))).collect()
-}
-
-/// Functional `Union`: concatenates two relations.
-pub fn union(a: &[Tuple], b: &[Tuple]) -> Vec<Tuple> {
-    let mut out = a.to_vec();
-    out.extend_from_slice(b);
-    out
-}
-
-/// Functional `FlatMap`: expands every tuple through `f`, preserving
-/// input order.
-pub fn flat_map<I: IntoIterator<Item = Tuple>, F: Fn(Tuple) -> I>(
-    rel: &[Tuple],
-    f: F,
-) -> Vec<Tuple> {
-    rel.iter().copied().flat_map(f).collect()
-}
-
-/// Functional `Cogroup`: per key, the payload lists of both sides in
-/// input order — Spark's `(K, (Iterable[V], Iterable[W]))`.
-pub fn cogroup(a: &[Tuple], b: &[Tuple]) -> BTreeMap<u64, (Vec<u64>, Vec<u64>)> {
-    let mut out: BTreeMap<u64, (Vec<u64>, Vec<u64>)> = BTreeMap::new();
-    for t in a {
-        out.entry(t.key).or_default().0.push(t.payload);
-    }
-    for t in b {
-        out.entry(t.key).or_default().1.push(t.payload);
-    }
-    out
-}
-
-/// Functional `LookupKey`: all payloads bound to `key`.
-pub fn lookup_key(rel: &[Tuple], key: u64) -> Vec<u64> {
-    rel.iter().filter(|t| t.key == key).map(|t| t.payload).collect()
-}
-
-/// Functional `ReduceByKey` with an associative payload combiner.
-pub fn reduce_by_key<F: Fn(u64, u64) -> u64>(rel: &[Tuple], f: F) -> BTreeMap<u64, u64> {
-    let mut out = BTreeMap::new();
-    for t in rel {
-        out.entry(t.key).and_modify(|v| *v = f(*v, t.payload)).or_insert(t.payload);
-    }
-    out
-}
-
-/// Functional `CountByKey`.
-pub fn count_by_key(rel: &[Tuple]) -> BTreeMap<u64, u64> {
-    let mut out = BTreeMap::new();
-    for t in rel {
-        *out.entry(t.key).or_insert(0) += 1;
-    }
-    out
-}
-
-/// Functional `AggregateByKey` with the paper's six aggregates.
-pub fn aggregate_by_key(rel: &[Tuple]) -> BTreeMap<u64, Aggregates> {
-    let mut out: BTreeMap<u64, Aggregates> = BTreeMap::new();
-    for t in rel {
-        out.entry(t.key).or_default().update(t);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,26 +110,5 @@ mod tests {
         for dedicated in [Union, Cogroup, FlatMap] {
             assert_eq!(count(dedicated), 1, "{dedicated:?} is not aliased");
         }
-    }
-
-    #[test]
-    fn functional_executors() {
-        let rel = vec![Tuple::new(1, 10), Tuple::new(2, 5), Tuple::new(1, 7)];
-        assert_eq!(filter(&rel, |t| t.key == 1).len(), 2);
-        assert_eq!(map(&rel, |t| Tuple::new(t.key + 1, t.payload))[0].key, 2);
-        assert_eq!(map_values(&rel, |p| p * 2)[1].payload, 10);
-        assert_eq!(union(&rel, &rel).len(), 6);
-        assert_eq!(lookup_key(&rel, 1), vec![10, 7]);
-        let expanded = flat_map(&rel, |t| [t, Tuple::new(t.key, t.payload + 1)]);
-        assert_eq!(expanded.len(), 6, "every tuple doubled");
-        let cg = cogroup(&rel, &[Tuple::new(1, 99)]);
-        assert_eq!(cg[&1], (vec![10, 7], vec![99]));
-        assert_eq!(cg[&2], (vec![5], vec![]));
-        let sums = reduce_by_key(&rel, |a, b| a + b);
-        assert_eq!(sums[&1], 17);
-        assert_eq!(count_by_key(&rel)[&1], 2);
-        let aggs = aggregate_by_key(&rel);
-        assert_eq!(aggs[&1].max, 10);
-        assert_eq!(aggs[&2].count, 1);
     }
 }

@@ -1249,12 +1249,7 @@ impl ExecCache {
         }
         let inputs_digest =
             crate::report::fnv1a(inputs.iter().flat_map(|rel| relation_digest(rel).to_le_bytes()));
-        let underprovision = cfg
-            .system
-            .uses_permutability()
-            .then_some(cfg.underprovision)
-            .flatten()
-            .map(f64::to_bits);
+        let underprovision = cfg.effective_underprovision().map(f64::to_bits);
         let key = (
             cfg.system,
             cfg.source_key(),
@@ -1368,6 +1363,14 @@ impl PipelineConfig {
     /// The minimal test topology on `system`.
     pub fn tiny(system: SystemKind) -> Self {
         Self { tiny: true, tuples_per_vault: 256, ..Self::new(system) }
+    }
+
+    /// The underprovisioning factor that can shape this run: `None` on
+    /// systems without permutable regions, where the factor changes
+    /// nothing. Every memo and store key normalizes through this, so
+    /// sweeping the factor there does not re-simulate.
+    pub fn effective_underprovision(&self) -> Option<f64> {
+        self.system.uses_permutability().then_some(self.underprovision).flatten()
     }
 
     /// The machine configuration of this run.

@@ -34,8 +34,9 @@
 //! partitioned or streamed stage's output must be byte-identical to the
 //! serial reference pass.
 //!
-//! Every stage is verified against the engine's own functional check and
-//! the stage's pure functional semantics
+//! Every stage is verified against its basic operator's registered
+//! reference (`mondrian_ops::Operator::reference`) twice: by the engine
+//! on the operator's raw output, and after projection
 //! ([`StageSpec::reference_output`]); branch runs add the
 //! serial-equivalence check on top.
 //!

@@ -8,10 +8,10 @@
 //!    [`OperatorKind`] simulates it,
 //! 2. how to configure the simulated operator (the scan predicate, the
 //!    join build side, flat_map's fanout), and
-//! 3. its **pure functional semantics** — used both to project the
-//!    engine's captured [`StageOutput`] into the relation handed to the
-//!    next stage, and to compute the reference output the projection is
-//!    verified against.
+//! 3. how to **project** an operator output into the relation handed to
+//!    the next stage — applied both to the engine's captured
+//!    [`StageOutput`] and to the registered reference output the
+//!    projection is verified against.
 //!
 //! Stages carry an explicit list of **input edges** ([`StageInput`]):
 //! single-input stages name one, `union` names two or more, `cogroup`
@@ -19,7 +19,7 @@
 
 use mondrian_core::StageOutput;
 use mondrian_ops::spark::SparkOp;
-use mondrian_ops::{reference, Aggregates, OperatorKind, ScanPredicate};
+use mondrian_ops::{operator, Aggregates, OpInvocation, OpSpec, OperatorKind, ScanPredicate};
 use mondrian_workloads::Tuple;
 
 pub use mondrian_ops::operator::derive_dimension;
@@ -340,69 +340,24 @@ impl StageSpec {
     }
 
     /// The stage's pure functional semantics: the expected output relation
-    /// for `inputs` (and `build` for joins), computed entirely with the
-    /// naive reference executors — no simulation machinery involved.
-    /// Single-input stages read `inputs[0]`.
+    /// for `inputs` (and `build` for joins) — the registered reference of
+    /// the basic operator ([`mondrian_ops::Operator::reference`]),
+    /// projected like the engine's output. No simulation machinery is
+    /// involved. Single-input stages read `inputs[0]`.
     pub fn reference_output(
         &self,
         inputs: &[&[Tuple]],
         build: Option<&[Tuple]>,
         seed: u64,
     ) -> Vec<Tuple> {
-        let input: &[Tuple] = inputs.first().copied().unwrap_or(&[]);
-        match *self {
-            StageSpec::Filter { .. }
-            | StageSpec::LookupKey { .. }
-            | StageSpec::Map { .. }
-            | StageSpec::MapValues { .. } => {
-                let pred = self.scan_predicate().expect("scan stage has a predicate");
-                reference::filtered(input, pred).into_iter().map(|t| self.transform(t)).collect()
-            }
-            StageSpec::Union => reference::unioned(inputs),
-            StageSpec::FlatMap { fanout } => {
-                reference::flat_mapped(input, ScanPredicate::All, fanout)
-            }
-            StageSpec::Cogroup => {
-                assert_eq!(inputs.len(), 2, "cogroup stage takes exactly two input edges");
-                reference::cogrouped(inputs[0], inputs[1])
-                    .iter()
-                    .map(|(&k, (a, b))| Tuple::new(k, Self::project_cogroup(a, b)))
-                    .collect()
-            }
-            StageSpec::GroupByKey
-            | StageSpec::ReduceByKey
-            | StageSpec::CountByKey
-            | StageSpec::AggregateByKey => reference::grouped(input)
-                .iter()
-                .map(|(&k, a)| Tuple::new(k, self.project_group(a)))
-                .collect(),
-            StageSpec::SortByKey => reference::sorted(input),
-            StageSpec::Join { .. } => {
-                let dimension;
-                let r: &[Tuple] = match build {
-                    Some(r) => r,
-                    None => {
-                        dimension = derive_dimension(input, seed);
-                        &dimension
-                    }
-                };
-                let mut by_key: std::collections::BTreeMap<u64, Vec<u64>> =
-                    std::collections::BTreeMap::new();
-                for t in r {
-                    by_key.entry(t.key).or_default().push(t.payload);
-                }
-                let mut rows: Vec<mondrian_ops::reference::JoinRow> = Vec::new();
-                for s in input {
-                    if let Some(payloads) = by_key.get(&s.key) {
-                        rows.extend(payloads.iter().map(|&rp| (s.key, rp, s.payload)));
-                    }
-                }
-                reference::canonical(rows)
-                    .into_iter()
-                    .map(|(k, rp, sp)| Tuple::new(k, rp.wrapping_add(sp)))
-                    .collect()
-            }
-        }
+        let kind = self.basic_operator();
+        let fanout = match *self {
+            StageSpec::FlatMap { fanout } => fanout,
+            _ => 1,
+        };
+        let spec = OpSpec { kind, pred: self.scan_predicate(), fanout };
+        let inv = OpInvocation { inputs, build, seed };
+        self.project_output(&operator(kind).reference(&spec, &inv))
     }
 }
 
@@ -509,16 +464,5 @@ mod tests {
             Stage::with_inputs(StageSpec::Union, vec![StageInput::Stage(0), StageInput::Source]);
         assert_eq!(u.inputs, vec![StageInput::Stage(0), StageInput::Source]);
         assert_eq!(Stage::chained(StageSpec::SortByKey).inputs, vec![StageInput::Prev]);
-    }
-
-    #[test]
-    fn derived_dimension_is_deterministic_and_primary_key() {
-        let rel = vec![Tuple::new(4, 0), Tuple::new(1, 0), Tuple::new(4, 9)];
-        let a = derive_dimension(&rel, 7);
-        let b = derive_dimension(&rel, 7);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 2, "distinct keys only");
-        assert!(a.windows(2).all(|w| w[0].key < w[1].key));
-        assert_ne!(derive_dimension(&rel, 8), a, "seed changes payloads");
     }
 }
