@@ -69,6 +69,7 @@
 
 use mondrian_core::fault::FaultPlan;
 use mondrian_core::{KeyDist, SystemKind};
+use mondrian_ops::{OpSpec, OperatorKind};
 use mondrian_pipeline::{
     BuildSide, Concurrency, Pipeline, PipelineConfig, Stage, StageInput, StageSpec,
 };
@@ -754,7 +755,7 @@ fn parse_stage(s: &Value) -> Result<(Stage, Option<String>), String> {
         "union" => StageSpec::Union,
         "cogroup" => StageSpec::Cogroup,
         "flat_map" => {
-            let fanout = u("fanout", 2)?;
+            let fanout = u("fanout", OpSpec::new(OperatorKind::FlatMap).fanout)?;
             if !(1..=32).contains(&fanout) {
                 return Err("flat_map.fanout must be between 1 and 32".into());
             }

@@ -2,12 +2,26 @@
 //! end to end — dataset generation, partitioning, probe, verification and
 //! energy accounting.
 //!
-//! This module encodes §6's "Evaluated operators" and "Evaluated
-//! configurations": per (operator × system) it assembles the right kernels
-//! (hash-based vs sort-based, scalar vs SIMD, conventional vs permutable
-//! shuffles), runs each phase on the [`Machine`], commits the functional
-//! data transformation between phases, and verifies the final result
-//! against the operator's registered reference
+//! Every data operator of §4–§6 (Table 2) has one shape: a partition phase
+//! and then a per-partition probe. The drivers share that shape instead of
+//! restating it:
+//!
+//! - *Partition* (`Experiment::partition_inputs`): each materialized
+//!   input side runs a histogram phase, then each runs its scatter —
+//!   conventional stores, or the permutable shuffle with its §5.4
+//!   overflow/retry round — and a streamed primary side follows with one
+//!   fused histogram + scatter round per arrival chunk. Side 0 uses the A
+//!   regions, side 1 the B regions.
+//! - *Probe*: the system's local sort (Sort, and every sorted probe), the
+//!   grouping probe (`Experiment::group_probe`, shared by Group-by and
+//!   Cogroup), or a merge join / the hash-join chain (`hash_join`) for
+//!   Join. Scan, Union and FlatMap are probe-only scans.
+//!
+//! Per (operator × system) these pick the kernels (hash-based vs
+//! sort-based, scalar vs SIMD, conventional vs permutable shuffles), run
+//! each phase on the [`Machine`] and commit the functional data
+//! transformation between phases. `Experiment::run` then verifies the
+//! captured output against the operator's registered reference
 //! ([`mondrian_ops::Operator::reference`]) over the relations it ran on.
 
 use std::collections::BTreeMap;
@@ -75,7 +89,8 @@ pub struct ExperimentBuilder {
     build: Option<Arc<[Tuple]>>,
     /// Scan predicate override (defaults to the §6 searched-value scan).
     pred: Option<ScanPredicate>,
-    /// 1→N output amplification for flat_map (None = the default of 2).
+    /// 1→N output amplification for flat_map (None = `OpSpec::new`'s
+    /// FlatMap default).
     fanout: Option<u64>,
     /// Chunked arrival of the primary input (intra-stage pipelining):
     /// the partition phase runs once per chunk instead of once over the
@@ -359,6 +374,15 @@ struct StreamDest {
 /// vectors: handing a partition to a kernel is a refcount bump).
 type VaultData = Vec<Data>;
 
+/// A partitioned relation: the tuples each destination partition
+/// received, in arrival order.
+type Parts = Vec<Vec<Tuple>>;
+
+/// The regions of partition side 0 (the A side) and side 1 (the B side):
+/// input, partitioned output, and the local sort's pong buffer.
+const SIDES: [(Region, Region, Region); 2] =
+    [(Region::InputA, Region::OutA, Region::PongA), (Region::InputB, Region::OutB, Region::PongB)];
+
 /// What one operator driver ran: the invocation (spec and whole input
 /// relations) and the output it captured. [`Experiment::run`] verifies the
 /// output against the registered reference of that same invocation.
@@ -444,20 +468,16 @@ impl Experiment {
         self.cfg.compute_units() as usize
     }
 
-    /// Vaults owned by compute unit `u` (NMP: itself; CPU: a contiguous
-    /// slice).
-    fn vaults_of_unit(&self, u: usize) -> std::ops::Range<usize> {
-        if self.cfg.kind.is_nmp() {
-            u..u + 1
-        } else {
-            let per = self.vaults() / self.units();
-            u * per..(u + 1) * per
-        }
+    /// Compute unit `u`'s contiguous share of `n` vaults or destination
+    /// partitions (NMP: its own vault's; CPU: a slice).
+    fn unit_share(&self, u: usize, n: usize) -> std::ops::Range<usize> {
+        let per = n / self.units();
+        u * per..(u + 1) * per
     }
 
     /// The vault whose Meta/scratch regions unit `u` uses.
     fn home_vault(&self, u: usize) -> u32 {
-        self.vaults_of_unit(u).start as u32
+        self.unit_share(u, self.vaults()).start as u32
     }
 
     fn run_phase(&mut self, kernels: KernelSet, label: &str) -> Result<PhaseOutcome, u64> {
@@ -489,17 +509,15 @@ impl Experiment {
         (total as u64 / divisor).max(1)
     }
 
-    /// The primary input relation: whole, and split across the vaults.
-    fn generate_single(&self) -> (Data, VaultData) {
-        let whole: Data = match self.inputs.first() {
+    /// The primary input relation (the injected one, else generated).
+    fn generate_single(&self) -> Data {
+        match self.inputs.first() {
             Some(input) => input.clone(),
             None => {
                 let total = self.cfg.tuples_per_vault * self.vaults();
                 self.gen_relation(total, self.generated_key_bound(total), self.cfg.seed).into()
             }
-        };
-        let vaulted = self.chunk_to_vaults(&whole);
-        (whole, vaulted)
+        }
     }
 
     /// The join's build side R and probe side S.
@@ -552,55 +570,61 @@ impl Experiment {
         self.layout.tuple_addr((slot / per) as u32, region, (slot % per) as usize)
     }
 
-    // ----- phase builders ------------------------------------------------
+    /// Base address of each destination partition of `parts` in `region`:
+    /// on NMP systems partition `p` opens vault `p`'s region; CPU buckets
+    /// lie back to back in the global bucket space.
+    fn part_bases(&self, region: Region, parts: &Parts) -> Vec<u64> {
+        if self.cfg.kind.is_nmp() {
+            (0..parts.len()).map(|p| self.layout.region_base(p as u32, region)).collect()
+        } else {
+            let counts: Vec<u64> = parts.iter().map(|p| p.len() as u64).collect();
+            exclusive_prefix(&counts).into_iter().map(|s| self.global_out_addr(region, s)).collect()
+        }
+    }
 
-    /// Histogram kernels over `input` arrays located in `region`.
-    /// `meta_slot` offsets the counter array in each unit's Meta region.
-    fn histogram_kernels(
-        &self,
-        input: &[Data],
-        region: Region,
-        scheme: PartitionScheme,
-        meta_slot: usize,
-    ) -> KernelSet {
-        let simd = self.cfg.kind.is_mondrian();
+    /// One kernel chain per compute unit over the vaults it owns, in
+    /// order: `kernel(u, v)` is unit `u`'s kernel for vault `v`.
+    fn vault_chains(&self, mut kernel: impl FnMut(usize, usize) -> Box<dyn Kernel>) -> KernelSet {
         (0..self.units())
-            .map(|u| {
-                let counter_base = self.layout.meta_addr(self.home_vault(u), meta_slot);
-                let parts: Vec<Box<dyn Kernel>> = self
-                    .vaults_of_unit(u)
-                    .map(|v| {
-                        let base = self.layout.region_base(v as u32, region);
-                        let data = input[v].clone();
-                        if simd {
-                            Box::new(SimdHistogramKernel::new(data, base, counter_base, scheme))
-                                as Box<dyn Kernel>
-                        } else {
-                            Box::new(HistogramKernel::new(data, base, counter_base, scheme))
-                        }
-                    })
-                    .collect();
-                Some(Box::new(ChainKernel::new(parts)) as Box<dyn Kernel>)
-            })
+            .map(|u| chain(self.unit_share(u, self.vaults()).map(|v| kernel(u, v)).collect()))
             .collect()
     }
 
-    /// Conventional scatter: returns kernels plus the functional
-    /// destination contents (per destination partition, in cursor order).
-    /// A streamed chunk passes `stream` so its writes append after the
-    /// tuples earlier chunks delivered, into regions provisioned for the
-    /// whole stream — the accumulated destination layout then equals the
-    /// materialized shuffle's, so downstream probe phases touch the same
-    /// addresses.
+    // ----- partition phase -----------------------------------------------
+
+    /// Histogram kernels over partition side `side`'s `input`, counting
+    /// into the side's meta slot of each unit's Meta region.
+    fn histogram_kernels(&self, input: &[Data], side: usize, scheme: PartitionScheme) -> KernelSet {
+        let (meta_slot, _) = side_slots(side, scheme);
+        let simd = self.cfg.kind.is_mondrian();
+        self.vault_chains(|u, v| {
+            let counter_base = self.layout.meta_addr(self.home_vault(u), meta_slot);
+            let base = self.layout.region_base(v as u32, SIDES[side].0);
+            let data = input[v].clone();
+            if simd {
+                Box::new(SimdHistogramKernel::new(data, base, counter_base, scheme))
+            } else {
+                Box::new(HistogramKernel::new(data, base, counter_base, scheme))
+            }
+        })
+    }
+
+    /// Conventional scatter of partition side `side`: returns kernels plus
+    /// the functional destination contents (per destination partition, in
+    /// cursor order). A streamed chunk passes `stream` so its writes
+    /// append after the tuples earlier chunks delivered, into regions
+    /// provisioned for the whole stream — the accumulated destination
+    /// layout then equals the materialized shuffle's, so downstream probe
+    /// phases touch the same addresses.
     fn conventional_scatter(
         &self,
         input: &[Data],
-        in_region: Region,
-        out_region: Region,
+        side: usize,
         scheme: PartitionScheme,
-        cursor_slot: usize,
         stream: Option<&StreamDest>,
-    ) -> (KernelSet, Vec<Vec<Tuple>>) {
+    ) -> (KernelSet, Parts) {
+        let (in_region, out_region, _) = SIDES[side];
+        let (_, cursor_slot) = side_slots(side, scheme);
         let parts = scheme.parts() as usize;
         // Per-source bucket counts; sources ordered by vault index (units
         // process their vaults in order).
@@ -636,7 +660,7 @@ impl Experiment {
         // sources, not a fresh allocation per vault.
         let mut next_in_dest: Vec<u64> =
             stream.map_or_else(|| vec![0; parts], |s| s.appended.clone());
-        let mut dest_content: Vec<Vec<Tuple>> =
+        let mut dest_content: Parts =
             totals.iter().map(|&t| Vec::with_capacity(t as usize)).collect();
         let mut source_addrs: Vec<Vec<u64>> = Vec::with_capacity(input.len());
         let mut cursors: Vec<u64> = Vec::with_capacity(parts);
@@ -664,33 +688,16 @@ impl Experiment {
         let store_kind =
             if self.cfg.kind.is_nmp() { StoreKind::Streaming } else { StoreKind::Cached };
         let simd = self.cfg.kind.is_mondrian();
-        let kernels = (0..self.units())
-            .map(|u| {
-                let cursor_base = self.layout.meta_addr(self.home_vault(u), cursor_slot);
-                let chain: Vec<Box<dyn Kernel>> = self
-                    .vaults_of_unit(u)
-                    .map(|v| {
-                        let base = self.layout.region_base(v as u32, in_region);
-                        let data = input[v].clone();
-                        let addrs = source_addrs[v].clone();
-                        if simd {
-                            Box::new(SimdScatterKernel::new(data, base, cursor_base, addrs, scheme))
-                                as Box<dyn Kernel>
-                        } else {
-                            Box::new(ScatterKernel::new(
-                                data,
-                                base,
-                                cursor_base,
-                                addrs,
-                                store_kind,
-                                scheme,
-                            ))
-                        }
-                    })
-                    .collect();
-                Some(Box::new(ChainKernel::new(chain)) as Box<dyn Kernel>)
-            })
-            .collect();
+        let kernels = self.vault_chains(|u, v| {
+            let cursor_base = self.layout.meta_addr(self.home_vault(u), cursor_slot);
+            let base = self.layout.region_base(v as u32, in_region);
+            let (data, addrs) = (input[v].clone(), std::mem::take(&mut source_addrs[v]));
+            if simd {
+                Box::new(SimdScatterKernel::new(data, base, cursor_base, addrs, scheme))
+            } else {
+                Box::new(ScatterKernel::new(data, base, cursor_base, addrs, store_kind, scheme))
+            }
+        });
         (kernels, dest_content)
     }
 
@@ -703,39 +710,35 @@ impl Experiment {
     ) -> KernelSet {
         assert!(self.cfg.kind.is_nmp());
         let simd = self.cfg.kind.is_mondrian();
-        (0..self.units())
-            .map(|u| {
-                let v = u; // NMP: one vault per unit
-                let base = self.layout.region_base(v as u32, in_region);
-                let data = input[v].clone();
-                let dsts: Vec<u32> = data.iter().map(|t| scheme.bucket(t.key)).collect();
-                let k: Box<dyn Kernel> = if simd {
-                    Box::new(SimdPermutableScatterKernel::new(data, base, dsts))
-                } else {
-                    Box::new(PermutableScatterKernel::new(data, base, dsts))
-                };
-                Some(k)
-            })
-            .collect()
+        self.vault_chains(|_, v| {
+            let base = self.layout.region_base(v as u32, in_region);
+            let data = input[v].clone();
+            let dsts: Vec<u32> = data.iter().map(|t| scheme.bucket(t.key)).collect();
+            if simd {
+                Box::new(SimdPermutableScatterKernel::new(data, base, dsts))
+            } else {
+                Box::new(PermutableScatterKernel::new(data, base, dsts))
+            }
+        })
     }
 
-    /// Runs a permutable shuffle of `input` into `out_region`, handling the
-    /// overflow/retry exception path. Returns the per-vault received
-    /// contents in hardware arrival order. A streamed chunk passes
-    /// `stream` = (destination bookkeeping, histogram meta slot): its
-    /// region window opens after the tuples earlier chunks delivered (so
-    /// the accumulated destination layout equals the materialized
-    /// shuffle's), and the chunk's histogram kernels fuse into the
-    /// scatter phase — one synchronization per consumed chunk.
+    /// Runs a permutable shuffle of partition side `side`'s `input` into
+    /// its output region, handling the overflow/retry exception path.
+    /// Returns the per-vault received contents in hardware arrival order.
+    /// A streamed chunk passes its `stream` bookkeeping: its region window
+    /// opens after the tuples earlier chunks delivered (so the accumulated
+    /// destination layout equals the materialized shuffle's), and the
+    /// chunk's histogram kernels fuse into the scatter phase — one
+    /// synchronization per consumed chunk.
     fn run_permutable_shuffle(
         &mut self,
         input: &[Data],
-        in_region: Region,
-        out_region: Region,
+        side: usize,
         scheme: PartitionScheme,
         label: &str,
-        stream: Option<(&StreamDest, usize)>,
-    ) -> Vec<Vec<Tuple>> {
+        stream: Option<&StreamDest>,
+    ) -> Parts {
+        let (in_region, out_region, _) = SIDES[side];
         let parts = scheme.parts() as usize;
         let mut inbound = vec![0u64; parts];
         let mut counts = Vec::with_capacity(parts);
@@ -757,7 +760,7 @@ impl Experiment {
                     // addresses of the previous chunk's partial tail
                     // row; the arrival log, not the address trace,
                     // carries the functional content.
-                    let appended = stream.map_or(0, |(s, _)| s.appended[v]) * TUPLE_BYTES as u64;
+                    let appended = stream.map_or(0, |s| s.appended[v]) * TUPLE_BYTES as u64;
                     let exact = inbound[v] * TUPLE_BYTES as u64;
                     let size = ((exact as f64 * factor) as u64).div_ceil(256).max(1) * 256;
                     PermutableRegion {
@@ -769,12 +772,9 @@ impl Experiment {
                 .collect();
             self.machine.shuffle_begin(regions);
             let mut kernels = self.permutable_scatter_kernels(input, in_region, scheme);
-            if let Some((_, meta_slot)) = stream {
+            if stream.is_some() {
                 // §5.4 retries re-run the fused round, histogram included.
-                kernels = fuse_kernel_sets(
-                    self.histogram_kernels(input, in_region, scheme, meta_slot),
-                    kernels,
-                );
+                kernels = fuse_kernel_sets(self.histogram_kernels(input, side, scheme), kernels);
             }
             match self.run_phase(kernels, label) {
                 Ok(_) => break,
@@ -801,32 +801,70 @@ impl Experiment {
             .collect()
     }
 
-    /// Partitions one materialized relation on whatever machinery this
-    /// system has. Returns per-destination contents. (Streamed chunks go
-    /// through [`Experiment::partition_streamed`] instead, which fuses
-    /// each chunk's histogram into its scatter round.)
-    fn shuffle_relation(
+    /// One scatter phase of partition side `side`'s `input` on whatever
+    /// machinery this system has: the permutable shuffle, or conventional
+    /// scatter. A streamed chunk passes its `stream` bookkeeping and its
+    /// histogram fuses into the same phase. Returns per-destination
+    /// contents.
+    fn scatter(
         &mut self,
         input: &[Data],
-        in_region: Region,
-        out_region: Region,
+        side: usize,
         scheme: PartitionScheme,
-        cursor_slot: usize,
         label: &str,
-    ) -> Vec<Vec<Tuple>> {
+        stream: Option<&StreamDest>,
+    ) -> Parts {
         if self.cfg.kind.uses_permutability() {
-            self.run_permutable_shuffle(input, in_region, out_region, scheme, label, None)
-        } else {
-            let (kernels, dest) =
-                self.conventional_scatter(input, in_region, out_region, scheme, cursor_slot, None);
-            self.run_phase_ok(kernels, label);
-            dest
+            return self.run_permutable_shuffle(input, side, scheme, label, stream);
         }
+        let (mut kernels, dest) = self.conventional_scatter(input, side, scheme, stream);
+        if stream.is_some() {
+            kernels = fuse_kernel_sets(self.histogram_kernels(input, side, scheme), kernels);
+        }
+        self.run_phase_ok(kernels, label);
+        dest
     }
 
-    /// Streams a relation through the partition machinery chunk by
-    /// chunk: one histogram + scatter round per arrival chunk, mesh and
-    /// SerDes traffic charged per round, destination contents
+    /// The partition phase of an operator over its input sides (whole
+    /// relations; side `i` moves between the regions of `SIDES[i]`). Every
+    /// materialized side runs its histogram phase, then every materialized
+    /// side its scatter phase (side 1's labels carry `suffix`). A streamed
+    /// run then feeds side `streamed` chunk by chunk through
+    /// [`Experiment::partition_streamed`]. Returns each side's
+    /// per-destination contents.
+    fn partition_inputs<const N: usize>(
+        &mut self,
+        sides: [&Data; N],
+        streamed: usize,
+        suffix: &str,
+    ) -> [Parts; N] {
+        let scheme = self.partition_scheme();
+        let label = |phase: &str, side: usize| match side {
+            0 => phase.to_string(),
+            _ => format!("{phase}{suffix}"),
+        };
+        let chunks = self.stream.clone();
+        let materialized: Vec<(usize, VaultData)> = (0..N)
+            .filter(|&i| chunks.is_none() || i != streamed)
+            .map(|i| (i, self.chunk_to_vaults(sides[i])))
+            .collect();
+        for (i, input) in &materialized {
+            let kernels = self.histogram_kernels(input, *i, scheme);
+            self.run_phase_ok(kernels, &label("partition.histogram", *i));
+        }
+        let mut parts: [Parts; N] = std::array::from_fn(|_| Vec::new());
+        for (i, input) in &materialized {
+            parts[*i] = self.scatter(input, *i, scheme, &label("partition.scatter", *i), None);
+        }
+        if let Some(chunks) = chunks {
+            parts[streamed] = self.partition_streamed(&chunks, streamed, scheme);
+        }
+        parts
+    }
+
+    /// Streams partition side `side` through the partition machinery
+    /// chunk by chunk: one histogram + scatter round per arrival chunk,
+    /// mesh and SerDes traffic charged per round, destination contents
     /// accumulated across rounds. The simulated span of each round is
     /// recorded for the report's [`StreamInfo`], so a scheduler can
     /// overlap the rounds with the producing stage's output phase. The
@@ -837,12 +875,9 @@ impl Experiment {
     fn partition_streamed(
         &mut self,
         chunks: &[Data],
-        in_region: Region,
-        out_region: Region,
+        side: usize,
         scheme: PartitionScheme,
-        meta_slot: usize,
-        cursor_slot: usize,
-    ) -> Vec<Vec<Tuple>> {
+    ) -> Parts {
         let parts_n = scheme.parts() as usize;
         // The destination regions are provisioned once for the whole
         // stream (the bounded channel sits on the input side): CPU
@@ -858,38 +893,17 @@ impl Experiment {
         }
         let mut dest =
             StreamDest { starts: exclusive_prefix(&totals), appended: vec![0u64; parts_n] };
-        let mut parts: Vec<Vec<Tuple>> = vec![Vec::new(); parts_n];
+        let mut parts: Parts = vec![Vec::new(); parts_n];
         for (k, chunk) in chunks.iter().enumerate() {
             let t0 = self.machine.now();
             let vaulted = self.chunk_to_vaults(chunk);
-            let label = format!("partition.stream.c{k}");
             // One fused phase per round: the chunk's histogram chains
             // into its scatter on every compute unit, so a chunk
             // consumption step synchronizes once at its end instead of
             // once per Table 2 sub-phase — the bounded channel hands
             // over chunks, not global barriers.
-            let delivered = if self.cfg.kind.uses_permutability() {
-                self.run_permutable_shuffle(
-                    &vaulted,
-                    in_region,
-                    out_region,
-                    scheme,
-                    &label,
-                    Some((&dest, meta_slot)),
-                )
-            } else {
-                let hist = self.histogram_kernels(&vaulted, in_region, scheme, meta_slot);
-                let (scatter, delivered) = self.conventional_scatter(
-                    &vaulted,
-                    in_region,
-                    out_region,
-                    scheme,
-                    cursor_slot,
-                    Some(&dest),
-                );
-                self.run_phase_ok(fuse_kernel_sets(hist, scatter), &label);
-                delivered
-            };
+            let label = format!("partition.stream.c{k}");
+            let delivered = self.scatter(&vaulted, side, scheme, &label, Some(&dest));
             for ((p, d), appended) in parts.iter_mut().zip(delivered).zip(&mut dest.appended) {
                 *appended += d.len() as u64;
                 p.extend(d);
@@ -921,36 +935,23 @@ impl Experiment {
     }
 
     fn run_scan(&mut self) -> Ran {
-        let (whole, input) = self.generate_single();
+        let whole = self.generate_single();
+        let input = self.chunk_to_vaults(&whole);
         let pred = self
             .pred
             .unwrap_or_else(|| ScanPredicate::KeyEquals(whole.first().map_or(0, |t| t.key)));
         let matches: Vec<Tuple> = input.iter().flat_map(|d| scan_filter(d, pred)).collect();
         let simd = self.cfg.kind.is_mondrian();
-        let kernels: KernelSet = (0..self.units())
-            .map(|u| {
-                let chain: Vec<Box<dyn Kernel>> = self
-                    .vaults_of_unit(u)
-                    .map(|v| {
-                        let base = self.layout.region_base(v as u32, Region::InputA);
-                        let out = self.layout.region_base(v as u32, Region::Result);
-                        let data = input[v].clone();
-                        if simd {
-                            Box::new(SimdScanKernel::new(data, base, out, pred)) as Box<dyn Kernel>
-                        } else {
-                            Box::new(ScalarScanKernel::new(
-                                data,
-                                base,
-                                out,
-                                pred,
-                                StoreKind::Cached,
-                            ))
-                        }
-                    })
-                    .collect();
-                Some(Box::new(ChainKernel::new(chain)) as Box<dyn Kernel>)
-            })
-            .collect();
+        let kernels = self.vault_chains(|_, v| {
+            let base = self.layout.region_base(v as u32, Region::InputA);
+            let out = self.layout.region_base(v as u32, Region::Result);
+            let data = input[v].clone();
+            if simd {
+                Box::new(SimdScanKernel::new(data, base, out, pred))
+            } else {
+                Box::new(ScalarScanKernel::new(data, base, out, pred, StoreKind::Cached))
+            }
+        });
         self.run_phase_ok(kernels, "probe.scan");
         Ran {
             spec: OpSpec { pred: Some(pred), ..OpSpec::new(OperatorKind::Scan) },
@@ -961,35 +962,28 @@ impl Experiment {
         }
     }
 
-    /// Sorts each destination partition with the system's sort and returns
-    /// the per-vault sorted data (for verification) plus phase bookkeeping.
-    fn local_sort(
-        &mut self,
-        mut parts: Vec<Vec<Tuple>>,
-        ping: Region,
-        pong: Region,
-        tag: &str,
-    ) -> Vec<Vec<Tuple>> {
+    /// Sorts each destination partition of partition side `side` with the
+    /// system's sort, in place between the side's output region and its
+    /// pong buffer, and returns the sorted partitions. `tag` names the
+    /// sort's phases.
+    fn local_sort(&mut self, mut parts: Parts, side: usize, tag: &str) -> Parts {
+        let (_, ping, pong) = SIDES[side];
         let kind = self.cfg.kind;
         if !kind.is_nmp() {
             // CPU: quicksort per bucket, chained per core. Buckets live in
             // the global out space.
-            let starts = {
-                let counts: Vec<u64> = parts.iter().map(|p| p.len() as u64).collect();
-                exclusive_prefix(&counts)
-            };
-            let buckets_per_unit = parts.len() / self.units();
+            let bases = self.part_bases(ping, &parts);
             let kernels: KernelSet = (0..self.units())
                 .map(|u| {
-                    let mut chain: Vec<Box<dyn Kernel>> = Vec::new();
-                    for b in u * buckets_per_unit..(u + 1) * buckets_per_unit {
-                        if parts[b].is_empty() {
-                            continue;
-                        }
-                        let base = self.global_out_addr(ping, starts[b]);
-                        chain.push(Box::new(QuicksortKernel::new(&parts[b], base)));
-                    }
-                    Some(Box::new(ChainKernel::new(chain)) as Box<dyn Kernel>)
+                    chain(
+                        self.unit_share(u, parts.len())
+                            .filter(|&b| !parts[b].is_empty())
+                            .map(|b| {
+                                Box::new(QuicksortKernel::new(&parts[b], bases[b]))
+                                    as Box<dyn Kernel>
+                            })
+                            .collect(),
+                    )
                 })
                 .collect();
             self.run_phase_ok(kernels, &format!("probe.sort.{tag}"));
@@ -1056,222 +1050,141 @@ impl Experiment {
         parts
     }
 
-    fn run_sort(&mut self) -> Ran {
-        let scheme = self.partition_scheme();
-        let cursor_slot = scheme.parts() as usize;
-        let (parts, whole) = if let Some(chunks) = self.stream.clone() {
-            let parts = self.partition_streamed(
-                &chunks,
-                Region::InputA,
-                Region::OutA,
-                scheme,
-                0,
-                cursor_slot,
-            );
-            (parts, self.inputs[0].clone())
+    /// The grouping probe of Group-by (one side) and Cogroup (two sides):
+    /// aggregates every side's partitions by key in one phase and returns
+    /// each side's groups. The sort-based family sorts each side first
+    /// (`tags` name the sorts' phases) and runs sorted aggregation; the
+    /// hash-based family aggregates per partition into a scratch table,
+    /// side `i` at table slot `i` (the sides run back to back on a unit,
+    /// so the scratch space is shared). Tables are sized for all-distinct
+    /// keys: injected relations (e.g. an already-grouped stage output)
+    /// carry no average-group-size guarantee.
+    fn group_probe<const N: usize>(
+        &mut self,
+        sides: [Parts; N],
+        tags: [&str; N],
+        label: &str,
+    ) -> [BTreeMap<u64, Aggregates>; N] {
+        let mut groups: [BTreeMap<u64, Aggregates>; N] = std::array::from_fn(|_| BTreeMap::new());
+        if self.cfg.kind.probe_is_sorted() {
+            let mut sorted = Vec::with_capacity(N);
+            for (side, (parts, tag)) in sides.into_iter().zip(tags).enumerate() {
+                sorted.push(self.local_sort(parts, side, tag));
+            }
+            // Each side's aggregate stream gets its own half of the
+            // Result region. Only the two-sided split is guarded, like
+            // union/flat_map guard their result writes (one
+            // GROUP_ENTRY_BYTES record per group, groups ≤ tuples): a
+            // one-sided Group-by writes from the region's base, and the
+            // 64 B-per-group bound would panic on skewed inputs it handles.
+            let half_bytes = self.layout.region_tuples() as u64 / 2 * TUPLE_BYTES as u64;
+            if N == 2 {
+                for side in &sorted {
+                    for (v, p) in side.iter().enumerate() {
+                        assert!(
+                            p.len() as u64 * GROUP_ENTRY_BYTES as u64 <= half_bytes,
+                            "cogroup aggregate output overflows the result region of vault {v}"
+                        );
+                    }
+                }
+            }
+            let simd = self.cfg.kind.is_mondrian();
+            let kernels: KernelSet = (0..self.units())
+                .map(|v| {
+                    let out = self.layout.region_base(v as u32, Region::Result);
+                    let aggs = sorted.iter().enumerate().map(|(side, parts)| {
+                        let data = Arc::<[Tuple]>::from(parts[v].as_slice());
+                        // The sorted copy lives in whichever buffer the
+                        // last merge pass targeted; the base only affects
+                        // addresses, so use the output region consistently.
+                        let base = self.layout.region_base(v as u32, SIDES[side].1);
+                        let out = out + side as u64 * half_bytes;
+                        if simd {
+                            Box::new(SimdSortedAggKernel::new(data, base, out)) as Box<dyn Kernel>
+                        } else {
+                            Box::new(SortedAggKernel::new(data, base, out))
+                        }
+                    });
+                    chain(aggs.collect())
+                })
+                .collect();
+            self.run_phase_ok(kernels, label);
+            for (side, parts) in sorted.iter().enumerate() {
+                for p in parts {
+                    merge_groups(&mut groups[side], sorted_group(p));
+                }
+            }
         } else {
-            let (whole, input) = self.generate_single();
-            let kernels = self.histogram_kernels(&input, Region::InputA, scheme, 0);
-            self.run_phase_ok(kernels, "partition.histogram");
-            let parts = self.shuffle_relation(
-                &input,
-                Region::InputA,
-                Region::OutA,
-                scheme,
-                cursor_slot,
-                "partition.scatter",
-            );
-            (parts, whole)
-        };
-        let sorted_parts = self.local_sort(parts, Region::OutA, Region::PongA, "local");
+            // NMP-rand aggregates its vault's partition; the CPU walks its
+            // bucket range over cache-resident scratch tables.
+            let bases: Vec<Vec<u64>> =
+                sides.iter().enumerate().map(|(i, p)| self.part_bases(SIDES[i].1, p)).collect();
+            let kernels: KernelSet = (0..self.units())
+                .map(|u| {
+                    let hv = self.home_vault(u);
+                    let mut aggs: Vec<Box<dyn Kernel>> = Vec::new();
+                    for b in self.unit_share(u, sides[0].len()) {
+                        for (side, parts) in sides.iter().enumerate() {
+                            if parts[b].is_empty() {
+                                continue;
+                            }
+                            aggs.push(Box::new(HashAggKernel::new(
+                                Arc::<[Tuple]>::from(parts[b].as_slice()),
+                                bases[side][b],
+                                self.layout.table_addr(hv, side),
+                                table_bits(parts[b].len()),
+                            )));
+                        }
+                    }
+                    chain(aggs)
+                })
+                .collect();
+            self.run_phase_ok(kernels, label);
+            for (side, parts) in sides.iter().enumerate() {
+                for p in parts {
+                    merge_groups(&mut groups[side], hash_group(p, table_bits(p.len())));
+                }
+            }
+        }
+        groups
+    }
+
+    fn run_sort(&mut self) -> Ran {
+        let whole = self.generate_single();
+        let [parts] = self.partition_inputs([&whole], 0, "");
         // The output is the concatenation in partition order.
-        let combined: Vec<Tuple> = sorted_parts.concat();
+        let sorted: Vec<Tuple> = self.local_sort(parts, 0, "local").concat();
         Ran {
             spec: OpSpec::new(OperatorKind::Sort),
             inputs: vec![whole],
             build: None,
-            summary: format!("sort: {} tuples totally ordered", combined.len()),
-            output: StageOutput::Tuples(combined),
+            summary: format!("sort: {} tuples totally ordered", sorted.len()),
+            output: StageOutput::Tuples(sorted),
         }
     }
 
     fn run_groupby(&mut self) -> Ran {
-        let scheme = self.partition_scheme();
-        let cursor_slot = scheme.parts() as usize;
-        let (parts, whole) = if let Some(chunks) = self.stream.clone() {
-            let parts = self.partition_streamed(
-                &chunks,
-                Region::InputA,
-                Region::OutA,
-                scheme,
-                0,
-                cursor_slot,
-            );
-            (parts, self.inputs[0].clone())
-        } else {
-            let (whole, input) = self.generate_single();
-            let kernels = self.histogram_kernels(&input, Region::InputA, scheme, 0);
-            self.run_phase_ok(kernels, "partition.histogram");
-            let parts = self.shuffle_relation(
-                &input,
-                Region::InputA,
-                Region::OutA,
-                scheme,
-                cursor_slot,
-                "partition.scatter",
-            );
-            (parts, whole)
-        };
-        let mut got: BTreeMap<u64, Aggregates> = BTreeMap::new();
-        if self.cfg.kind.probe_is_sorted() {
-            let sorted_parts = self.local_sort(parts, Region::OutA, Region::PongA, "groupby");
-            let simd = self.cfg.kind.is_mondrian();
-            let kernels: KernelSet = (0..self.units())
-                .map(|v| {
-                    let data = Arc::<[Tuple]>::from(sorted_parts[v].as_slice());
-                    // The sorted copy lives in whichever buffer the last
-                    // merge pass targeted; the base only affects addresses,
-                    // use OutA consistently (ping/pong tracked in
-                    // local_sort's phases).
-                    let base = self.layout.region_base(v as u32, Region::OutA);
-                    let out = self.layout.region_base(v as u32, Region::Result);
-                    let k: Box<dyn Kernel> = if simd {
-                        Box::new(SimdSortedAggKernel::new(data, base, out))
-                    } else {
-                        Box::new(SortedAggKernel::new(data, base, out))
-                    };
-                    Some(k)
-                })
-                .collect();
-            self.run_phase_ok(kernels, "probe.aggregate");
-            for p in &sorted_parts {
-                for (k, a) in mondrian_ops::groupby::sorted_group(p) {
-                    got.entry(k).or_default().merge(&a);
-                }
-            }
-        } else if self.cfg.kind.is_nmp() {
-            // NMP-rand: hash aggregation per vault. The table is sized
-            // for the worst case (every key distinct): injected pipeline
-            // relations — e.g. an already-grouped stage output — carry no
-            // average-group-size guarantee, so the generated datasets'
-            // 4-tuple groups cannot be assumed here.
-            let kernels: KernelSet = (0..self.units())
-                .map(|v| {
-                    let data = Arc::<[Tuple]>::from(parts[v].as_slice());
-                    let bits = table_bits(parts[v].len());
-                    let base = self.layout.region_base(v as u32, Region::OutA);
-                    let table = self.layout.table_addr(v as u32, 0);
-                    Some(Box::new(HashAggKernel::new(data, base, table, bits)) as Box<dyn Kernel>)
-                })
-                .collect();
-            self.run_phase_ok(kernels, "probe.aggregate");
-            for p in &parts {
-                for (k, a) in mondrian_ops::groupby::hash_group(p, table_bits(p.len())) {
-                    got.entry(k).or_default().merge(&a);
-                }
-            }
-        } else {
-            // CPU: per-bucket hash aggregation, cache-resident scratch.
-            let starts = {
-                let counts: Vec<u64> = parts.iter().map(|p| p.len() as u64).collect();
-                exclusive_prefix(&counts)
-            };
-            let buckets_per_unit = parts.len() / self.units();
-            let kernels: KernelSet = (0..self.units())
-                .map(|u| {
-                    let table = self.layout.table_addr(self.home_vault(u), 0);
-                    let mut chain: Vec<Box<dyn Kernel>> = Vec::new();
-                    for b in u * buckets_per_unit..(u + 1) * buckets_per_unit {
-                        if parts[b].is_empty() {
-                            continue;
-                        }
-                        let base = self.global_out_addr(Region::OutA, starts[b]);
-                        let bits = table_bits(parts[b].len());
-                        chain.push(Box::new(HashAggKernel::new(
-                            Arc::<[Tuple]>::from(parts[b].as_slice()),
-                            base,
-                            table,
-                            bits,
-                        )));
-                    }
-                    Some(Box::new(ChainKernel::new(chain)) as Box<dyn Kernel>)
-                })
-                .collect();
-            self.run_phase_ok(kernels, "probe.aggregate");
-            for p in &parts {
-                if p.is_empty() {
-                    continue;
-                }
-                for (k, a) in mondrian_ops::groupby::hash_group(p, table_bits(p.len())) {
-                    got.entry(k).or_default().merge(&a);
-                }
-            }
-        }
+        let whole = self.generate_single();
+        let [parts] = self.partition_inputs([&whole], 0, "");
+        let [groups] = self.group_probe([parts], ["groupby"], "probe.aggregate");
         Ran {
             spec: OpSpec::new(OperatorKind::GroupBy),
             inputs: vec![whole],
             build: None,
-            summary: format!("group by: {} groups aggregated", got.len()),
-            output: StageOutput::Groups(got),
+            summary: format!("group by: {} groups aggregated", groups.len()),
+            output: StageOutput::Groups(groups),
         }
     }
 
     fn run_join(&mut self) -> Ran {
         let (r, s) = self.generate_join();
-        let r_in = self.chunk_to_vaults(&r);
-        let scheme = self.partition_scheme();
-        let parts_n = scheme.parts() as usize;
-        let (r_parts, s_parts) = if let Some(chunks) = self.stream.clone() {
-            // The build side R partitions once up front; the probe side
-            // S streams through the partition machinery chunk by chunk.
-            let kernels = self.histogram_kernels(&r_in, Region::InputA, scheme, 0);
-            self.run_phase_ok(kernels, "partition.histogram");
-            let r_parts = self.shuffle_relation(
-                &r_in,
-                Region::InputA,
-                Region::OutA,
-                scheme,
-                parts_n,
-                "partition.scatter",
-            );
-            let s_parts = self.partition_streamed(
-                &chunks,
-                Region::InputB,
-                Region::OutB,
-                scheme,
-                parts_n * 2,
-                parts_n * 3,
-            );
-            (r_parts, s_parts)
-        } else {
-            // Histograms for both relations (separate counter arrays).
-            let s_in = self.chunk_to_vaults(&s);
-            let kernels = self.histogram_kernels(&r_in, Region::InputA, scheme, 0);
-            self.run_phase_ok(kernels, "partition.histogram");
-            let kernels = self.histogram_kernels(&s_in, Region::InputB, scheme, parts_n * 2);
-            self.run_phase_ok(kernels, "partition.histogram.s");
-            let r_parts = self.shuffle_relation(
-                &r_in,
-                Region::InputA,
-                Region::OutA,
-                scheme,
-                parts_n,
-                "partition.scatter",
-            );
-            let s_parts = self.shuffle_relation(
-                &s_in,
-                Region::InputB,
-                Region::OutB,
-                scheme,
-                parts_n * 3,
-                "partition.scatter.s",
-            );
-            (r_parts, s_parts)
-        };
+        // The build side R partitions up front; a streamed probe side S
+        // follows chunk by chunk.
+        let [r_parts, s_parts] = self.partition_inputs([&r, &s], 1, ".s");
         let mut rows: Vec<reference::JoinRow> = Vec::new();
         if self.cfg.kind.probe_is_sorted() {
-            let r_sorted = self.local_sort(r_parts, Region::OutA, Region::PongA, "r");
-            let s_sorted = self.local_sort(s_parts, Region::OutB, Region::PongB, "s");
+            let r_sorted = self.local_sort(r_parts, 0, "r");
+            let s_sorted = self.local_sort(s_parts, 1, "s");
             let simd = self.cfg.kind.is_mondrian();
             let kernels: KernelSet = (0..self.units())
                 .map(|v| {
@@ -1292,120 +1205,37 @@ impl Experiment {
             for v in 0..self.vaults() {
                 rows.extend(merge_join(&r_sorted[v], &s_sorted[v]));
             }
-        } else if self.cfg.kind.is_nmp() {
-            // NMP-rand: per-vault index build (histogram + reorder) + probe.
-            let kernels: KernelSet = (0..self.units())
-                .map(|v| {
-                    let r = Arc::<[Tuple]>::from(r_parts[v].as_slice());
-                    let s = Arc::<[Tuple]>::from(s_parts[v].as_slice());
-                    let bits = index_bits(r.len());
-                    let idx = Arc::new(build_index(&r, bits));
-                    let rb = self.layout.region_base(v as u32, Region::OutA);
-                    let reordered = self.layout.region_base(v as u32, Region::PongA);
-                    let sb = self.layout.region_base(v as u32, Region::OutB);
-                    let out = self.layout.region_base(v as u32, Region::Result);
-                    let counter = self.layout.meta_addr(v as u32, 0);
-                    let build_scheme = PartitionScheme::HashBits { bits };
-                    let mut cursors: Vec<u64> = idx.offsets[..idx.offsets.len() - 1]
-                        .iter()
-                        .map(|&o| reordered + o as u64 * TUPLE_BYTES as u64)
-                        .collect();
-                    let addrs = scatter_addresses(&r, build_scheme, &mut cursors);
-                    let chain: Vec<Box<dyn Kernel>> = vec![
-                        Box::new(HistogramKernel::new(r.clone(), rb, counter, build_scheme)),
-                        Box::new(ScatterKernel::new(
-                            r.clone(),
-                            rb,
-                            counter,
-                            addrs,
-                            StoreKind::Streaming,
-                            build_scheme,
-                        )),
-                        Box::new(HashProbeKernel::new(
-                            s,
-                            idx,
-                            sb,
-                            reordered,
-                            out,
-                            StoreKind::Streaming,
-                        )),
-                    ];
-                    Some(Box::new(ChainKernel::new(chain)) as Box<dyn Kernel>)
-                })
-                .collect();
-            self.run_phase_ok(kernels, "probe.hashjoin");
-            for v in 0..self.vaults() {
-                let idx = build_index(&r_parts[v], index_bits(r_parts[v].len()));
-                rows.extend(probe_index(&idx, &s_parts[v]));
-            }
         } else {
-            // CPU: per-bucket hash join over cache-resident buckets.
-            let r_starts = {
-                let counts: Vec<u64> = r_parts.iter().map(|p| p.len() as u64).collect();
-                exclusive_prefix(&counts)
-            };
-            let s_starts = {
-                let counts: Vec<u64> = s_parts.iter().map(|p| p.len() as u64).collect();
-                exclusive_prefix(&counts)
-            };
-            let buckets_per_unit = parts_n / self.units();
+            // NMP-rand joins its vault's partition pair with streaming
+            // stores; the CPU joins its bucket range over cache-resident
+            // buckets, skipping buckets without probe tuples.
+            let nmp = self.cfg.kind.is_nmp();
+            let store = if nmp { StoreKind::Streaming } else { StoreKind::Cached };
+            let r_bases = self.part_bases(Region::OutA, &r_parts);
+            let s_bases = self.part_bases(Region::OutB, &s_parts);
             let kernels: KernelSet = (0..self.units())
                 .map(|u| {
                     let hv = self.home_vault(u);
-                    let counter = self.layout.meta_addr(hv, 0);
-                    let scratch = self.layout.region_base(hv, Region::PongA);
-                    let out = self.layout.region_base(hv, Region::Result);
-                    let mut chain: Vec<Box<dyn Kernel>> = Vec::new();
-                    for b in u * buckets_per_unit..(u + 1) * buckets_per_unit {
-                        if s_parts[b].is_empty() {
+                    let mut joins: Vec<Box<dyn Kernel>> = Vec::new();
+                    for b in self.unit_share(u, r_parts.len()) {
+                        if !nmp && s_parts[b].is_empty() {
                             continue;
                         }
-                        let r = Arc::<[Tuple]>::from(r_parts[b].as_slice());
-                        let s = Arc::<[Tuple]>::from(s_parts[b].as_slice());
-                        let rb = self.global_out_addr(Region::OutA, r_starts[b]);
-                        let sb = self.global_out_addr(Region::OutB, s_starts[b]);
-                        let bits = index_bits(r.len().max(2));
-                        let idx = Arc::new(build_index(&r, bits));
-                        let build_scheme = PartitionScheme::HashBits { bits };
-                        let mut cursors: Vec<u64> = idx.offsets[..idx.offsets.len() - 1]
-                            .iter()
-                            .map(|&o| scratch + o as u64 * TUPLE_BYTES as u64)
-                            .collect();
-                        let addrs = scatter_addresses(&r, build_scheme, &mut cursors);
-                        chain.push(Box::new(HistogramKernel::new(
-                            r.clone(),
-                            rb,
-                            counter,
-                            build_scheme,
-                        )));
-                        chain.push(Box::new(ScatterKernel::new(
-                            r.clone(),
-                            rb,
-                            counter,
-                            addrs,
-                            StoreKind::Cached,
-                            build_scheme,
-                        )));
-                        chain.push(Box::new(HashProbeKernel::new(
-                            s,
-                            idx,
-                            sb,
-                            scratch,
-                            out,
-                            StoreKind::Cached,
-                        )));
+                        let at = JoinAddrs {
+                            r: r_bases[b],
+                            s: s_bases[b],
+                            reordered: self.layout.region_base(hv, Region::PongA),
+                            counter: self.layout.meta_addr(hv, 0),
+                            out: self.layout.region_base(hv, Region::Result),
+                        };
+                        let (kernels, matched) = hash_join(&r_parts[b], &s_parts[b], at, store);
+                        joins.extend(kernels);
+                        rows.extend(matched);
                     }
-                    Some(Box::new(ChainKernel::new(chain)) as Box<dyn Kernel>)
+                    chain(joins)
                 })
                 .collect();
             self.run_phase_ok(kernels, "probe.hashjoin");
-            for b in 0..parts_n {
-                if s_parts[b].is_empty() {
-                    continue;
-                }
-                let idx = build_index(&r_parts[b], index_bits(r_parts[b].len().max(2)));
-                rows.extend(probe_index(&idx, &s_parts[b]));
-            }
         }
         let rows = reference::canonical(rows);
         Ran {
@@ -1445,45 +1275,26 @@ impl Experiment {
             );
         }
         let simd = self.cfg.kind.is_mondrian();
-        let kernels: KernelSet = (0..self.units())
-            .map(|u| {
-                let mut chain: Vec<Box<dyn Kernel>> = Vec::new();
-                for v in self.vaults_of_unit(u) {
-                    let out_base = self.layout.region_base(v as u32, Region::Result);
-                    let mut written = 0u64;
-                    for (k, input) in chunked.iter().enumerate() {
-                        // Inputs alternate between the two input regions;
-                        // they are scanned sequentially, so reuse is a
-                        // modeling choice, not a correctness one.
-                        let region = if k % 2 == 0 { Region::InputA } else { Region::InputB };
-                        let data = input[v].clone();
-                        if data.is_empty() {
-                            continue;
-                        }
-                        let base = self.layout.region_base(v as u32, region);
-                        let out = out_base + written * TUPLE_BYTES as u64;
-                        written += data.len() as u64;
-                        if simd {
-                            chain.push(Box::new(SimdScanKernel::new(
-                                data,
-                                base,
-                                out,
-                                ScanPredicate::All,
-                            )));
-                        } else {
-                            chain.push(Box::new(ScalarScanKernel::new(
-                                data,
-                                base,
-                                out,
-                                ScanPredicate::All,
-                                StoreKind::Cached,
-                            )));
-                        }
-                    }
-                }
-                Some(Box::new(ChainKernel::new(chain)) as Box<dyn Kernel>)
-            })
-            .collect();
+        let kernels = self.vault_chains(|_, v| {
+            let mut out = self.layout.region_base(v as u32, Region::Result);
+            let mut scans: Vec<Box<dyn Kernel>> = Vec::new();
+            for (k, input) in chunked.iter().enumerate().filter(|(_, c)| !c[v].is_empty()) {
+                // Inputs alternate between the two input regions; they are
+                // scanned sequentially, so reuse is a modeling choice, not
+                // a correctness one.
+                let region = if k % 2 == 0 { Region::InputA } else { Region::InputB };
+                let base = self.layout.region_base(v as u32, region);
+                let (data, all) = (input[v].clone(), ScanPredicate::All);
+                let len = data.len() as u64;
+                scans.push(if simd {
+                    Box::new(SimdScanKernel::new(data, base, out, all))
+                } else {
+                    Box::new(ScalarScanKernel::new(data, base, out, all, StoreKind::Cached))
+                });
+                out += len * TUPLE_BYTES as u64;
+            }
+            Box::new(ChainKernel::new(scans))
+        });
         self.run_phase_ok(kernels, "probe.union");
         // Reassemble the functional output from the *chunked* per-vault
         // data (input-major, vault order) — the reference comparison then
@@ -1505,8 +1316,9 @@ impl Experiment {
     /// carries the output-amplification factor, and the captured
     /// [`StageOutput::Expanded`] records it for downstream consumers.
     fn run_flat_map(&mut self) -> Ran {
-        let (whole, input) = self.generate_single();
-        let fanout = self.fanout.unwrap_or(2).max(1);
+        let whole = self.generate_single();
+        let input = self.chunk_to_vaults(&whole);
+        let fanout = self.fanout.unwrap_or(OpSpec::new(OperatorKind::FlatMap).fanout).max(1);
         let pred = self.pred.unwrap_or(ScanPredicate::All);
         let max_chunk = input.iter().map(|d| d.len()).max().unwrap_or(0);
         assert!(
@@ -1514,32 +1326,16 @@ impl Experiment {
             "flat_map fanout {fanout} overflows the result region ({max_chunk} tuples/vault)"
         );
         let simd = self.cfg.kind.is_mondrian();
-        let kernels: KernelSet = (0..self.units())
-            .map(|u| {
-                let chain: Vec<Box<dyn Kernel>> = self
-                    .vaults_of_unit(u)
-                    .map(|v| {
-                        let base = self.layout.region_base(v as u32, Region::InputA);
-                        let out = self.layout.region_base(v as u32, Region::Result);
-                        let data = input[v].clone();
-                        if simd {
-                            Box::new(SimdFlatMapKernel::new(data, base, out, pred, fanout))
-                                as Box<dyn Kernel>
-                        } else {
-                            Box::new(FlatMapKernel::new(
-                                data,
-                                base,
-                                out,
-                                pred,
-                                fanout,
-                                StoreKind::Cached,
-                            ))
-                        }
-                    })
-                    .collect();
-                Some(Box::new(ChainKernel::new(chain)) as Box<dyn Kernel>)
-            })
-            .collect();
+        let kernels = self.vault_chains(|_, v| {
+            let base = self.layout.region_base(v as u32, Region::InputA);
+            let out = self.layout.region_base(v as u32, Region::Result);
+            let data = input[v].clone();
+            if simd {
+                Box::new(SimdFlatMapKernel::new(data, base, out, pred, fanout))
+            } else {
+                Box::new(FlatMapKernel::new(data, base, out, pred, fanout, StoreKind::Cached))
+            }
+        });
         self.run_phase_ok(kernels, "probe.flat_map");
         // Expand each vault's chunk and reassemble in vault order; the
         // reference runs over the unchunked relation, so the comparison
@@ -1564,9 +1360,8 @@ impl Experiment {
 
     /// Cogroup: the multi-input grouped join. Both relations shuffle on
     /// the partition machinery (separate histogram/scatter rounds, like a
-    /// join's two sides), then each partition groups *both* sides by key
-    /// — sorted aggregation on the sort-based family, hash aggregation on
-    /// the hash-based one — and the per-key groups are paired.
+    /// join's two sides), then the grouping probe groups *both* sides by
+    /// key in one phase and the per-key groups are paired.
     fn run_cogroup(&mut self) -> Ran {
         let (a_full, b_full): (Data, Data) = match self.inputs.len() {
             2 => (self.inputs[0].clone(), self.inputs[1].clone()),
@@ -1580,181 +1375,17 @@ impl Experiment {
             }
             n => panic!("cogroup takes exactly two input relations, got {n}"),
         };
-        let b_in = self.chunk_to_vaults(&b_full);
-        let scheme = self.partition_scheme();
-        let parts_n = scheme.parts() as usize;
-        let (a_parts, b_parts) = if let Some(chunks) = self.stream.clone() {
-            // The materialized side B partitions once up front; the
-            // streamed side A follows chunk by chunk (and is never
-            // materialized into per-vault slices here).
-            let kernels = self.histogram_kernels(&b_in, Region::InputB, scheme, parts_n * 2);
-            self.run_phase_ok(kernels, "partition.histogram.b");
-            let b_parts = self.shuffle_relation(
-                &b_in,
-                Region::InputB,
-                Region::OutB,
-                scheme,
-                parts_n * 3,
-                "partition.scatter.b",
-            );
-            let a_parts =
-                self.partition_streamed(&chunks, Region::InputA, Region::OutA, scheme, 0, parts_n);
-            (a_parts, b_parts)
-        } else {
-            let a_in = self.chunk_to_vaults(&a_full);
-            let kernels = self.histogram_kernels(&a_in, Region::InputA, scheme, 0);
-            self.run_phase_ok(kernels, "partition.histogram");
-            let kernels = self.histogram_kernels(&b_in, Region::InputB, scheme, parts_n * 2);
-            self.run_phase_ok(kernels, "partition.histogram.b");
-            let a_parts = self.shuffle_relation(
-                &a_in,
-                Region::InputA,
-                Region::OutA,
-                scheme,
-                parts_n,
-                "partition.scatter",
-            );
-            let b_parts = self.shuffle_relation(
-                &b_in,
-                Region::InputB,
-                Region::OutB,
-                scheme,
-                parts_n * 3,
-                "partition.scatter.b",
-            );
-            (a_parts, b_parts)
-        };
-        // Side-symmetric merge: fold one partition's groups into the
-        // `side` half of the paired aggregates.
-        fn merge_groups(
-            got: &mut BTreeMap<u64, (Aggregates, Aggregates)>,
-            side: usize,
-            groups: impl IntoIterator<Item = (u64, Aggregates)>,
-        ) {
-            for (k, agg) in groups {
-                let entry = got.entry(k).or_default();
-                let slot = if side == 0 { &mut entry.0 } else { &mut entry.1 };
-                slot.merge(&agg);
-            }
-        }
-        let side_regions = [Region::OutA, Region::OutB];
+        // The materialized side B partitions up front; a streamed side A
+        // follows chunk by chunk.
+        let [a_parts, b_parts] = self.partition_inputs([&a_full, &b_full], 0, ".b");
+        let [a_groups, b_groups] =
+            self.group_probe([a_parts, b_parts], ["cg.a", "cg.b"], "probe.cogroup");
         let mut got: BTreeMap<u64, (Aggregates, Aggregates)> = BTreeMap::new();
-        if self.cfg.kind.probe_is_sorted() {
-            let sorted = [
-                self.local_sort(a_parts, Region::OutA, Region::PongA, "cg.a"),
-                self.local_sort(b_parts, Region::OutB, Region::PongB, "cg.b"),
-            ];
-            let simd = self.cfg.kind.is_mondrian();
-            // The two sides' aggregate streams share the Result region,
-            // side B offset into the upper half; guard the split like
-            // union/flat_map guard their result writes (one
-            // GROUP_ENTRY_BYTES record per group, groups ≤ tuples).
-            let half_bytes = self.layout.region_tuples() as u64 / 2 * TUPLE_BYTES as u64;
-            for side in &sorted {
-                for (v, p) in side.iter().enumerate() {
-                    assert!(
-                        p.len() as u64 * GROUP_ENTRY_BYTES as u64 <= half_bytes,
-                        "cogroup aggregate output overflows the result region of vault {v}"
-                    );
-                }
-            }
-            let kernels: KernelSet = (0..self.units())
-                .map(|v| {
-                    let out = self.layout.region_base(v as u32, Region::Result);
-                    let chain: Vec<Box<dyn Kernel>> = (0..2)
-                        .map(|side| {
-                            let data = Arc::<[Tuple]>::from(sorted[side][v].as_slice());
-                            let base = self.layout.region_base(v as u32, side_regions[side]);
-                            let out = out + side as u64 * half_bytes;
-                            if simd {
-                                Box::new(SimdSortedAggKernel::new(data, base, out))
-                                    as Box<dyn Kernel>
-                            } else {
-                                Box::new(SortedAggKernel::new(data, base, out))
-                            }
-                        })
-                        .collect();
-                    Some(Box::new(ChainKernel::new(chain)) as Box<dyn Kernel>)
-                })
-                .collect();
-            self.run_phase_ok(kernels, "probe.cogroup");
-            for (side, parts) in sorted.iter().enumerate() {
-                for p in parts {
-                    merge_groups(&mut got, side, sorted_group(p));
-                }
-            }
-        } else if self.cfg.kind.is_nmp() {
-            // NMP-rand: per-vault hash aggregation, both sides chained on
-            // the vault's unit (side B's table base offset one entry — the
-            // sides run back to back, so the scratch space is shared).
-            // Tables sized for all-distinct keys, like group-by: injected
-            // sides carry no group-size guarantee.
-            let sides = [&a_parts, &b_parts];
-            let kernels: KernelSet = (0..self.units())
-                .map(|v| {
-                    let chain: Vec<Box<dyn Kernel>> = (0..2)
-                        .map(|side| {
-                            let data = Arc::<[Tuple]>::from(sides[side][v].as_slice());
-                            let bits = table_bits(data.len());
-                            let base = self.layout.region_base(v as u32, side_regions[side]);
-                            Box::new(HashAggKernel::new(
-                                data,
-                                base,
-                                self.layout.table_addr(v as u32, side),
-                                bits,
-                            )) as Box<dyn Kernel>
-                        })
-                        .collect();
-                    Some(Box::new(ChainKernel::new(chain)) as Box<dyn Kernel>)
-                })
-                .collect();
-            self.run_phase_ok(kernels, "probe.cogroup");
-            for (side, parts) in sides.iter().enumerate() {
-                for p in parts.iter() {
-                    merge_groups(&mut got, side, hash_group(p, table_bits(p.len())));
-                }
-            }
-        } else {
-            // CPU: per-bucket hash aggregation of both sides over the
-            // global bucket space, cache-resident scratch tables.
-            let sides = [&a_parts, &b_parts];
-            let starts: Vec<Vec<u64>> = sides
-                .iter()
-                .map(|parts| {
-                    let counts: Vec<u64> = parts.iter().map(|p| p.len() as u64).collect();
-                    exclusive_prefix(&counts)
-                })
-                .collect();
-            let buckets_per_unit = parts_n / self.units();
-            let kernels: KernelSet = (0..self.units())
-                .map(|u| {
-                    let hv = self.home_vault(u);
-                    let mut chain: Vec<Box<dyn Kernel>> = Vec::new();
-                    for bkt in u * buckets_per_unit..(u + 1) * buckets_per_unit {
-                        for (side, parts) in sides.iter().enumerate() {
-                            if parts[bkt].is_empty() {
-                                continue;
-                            }
-                            chain.push(Box::new(HashAggKernel::new(
-                                Arc::<[Tuple]>::from(parts[bkt].as_slice()),
-                                self.global_out_addr(side_regions[side], starts[side][bkt]),
-                                self.layout.table_addr(hv, side),
-                                table_bits(parts[bkt].len()),
-                            )));
-                        }
-                    }
-                    Some(Box::new(ChainKernel::new(chain)) as Box<dyn Kernel>)
-                })
-                .collect();
-            self.run_phase_ok(kernels, "probe.cogroup");
-            for (side, parts) in sides.iter().enumerate() {
-                for p in parts.iter() {
-                    if p.is_empty() {
-                        continue;
-                    }
-                    merge_groups(&mut got, side, hash_group(p, table_bits(p.len())));
-                }
-            }
+        for (k, agg) in a_groups {
+            got.entry(k).or_default().0 = agg;
+        }
+        for (k, agg) in b_groups {
+            got.entry(k).or_default().1 = agg;
         }
         Ran {
             spec: OpSpec::new(OperatorKind::Cogroup),
@@ -1852,13 +1483,67 @@ impl Experiment {
 /// cover the same compute units.
 fn fuse_kernel_sets(a: KernelSet, b: KernelSet) -> KernelSet {
     assert_eq!(a.len(), b.len(), "fused kernel sets must cover the same units");
-    a.into_iter()
-        .zip(b)
-        .map(|(x, y)| {
-            let chain: Vec<Box<dyn Kernel>> = x.into_iter().chain(y).collect();
-            Some(Box::new(ChainKernel::new(chain)) as Box<dyn Kernel>)
-        })
-        .collect()
+    a.into_iter().zip(b).map(|(x, y)| chain(x.into_iter().chain(y).collect())).collect()
+}
+
+/// The (histogram meta slot, scatter cursor slot) of partition side
+/// `side`: with `P` partitions, side 0 counts at slot 0 and scatters
+/// from slot `P`, side 1 counts at `2P` and scatters from `3P`.
+fn side_slots(side: usize, scheme: PartitionScheme) -> (usize, usize) {
+    let p = scheme.parts() as usize;
+    (2 * side * p, (2 * side + 1) * p)
+}
+
+/// One compute unit's kernels, run back to back.
+fn chain(kernels: Vec<Box<dyn Kernel>>) -> Option<Box<dyn Kernel>> {
+    Some(Box::new(ChainKernel::new(kernels)))
+}
+
+/// Addresses of one hash-join partition pair: R and S as partitioned, the
+/// buffer R is reordered into, the histogram counters and the output.
+struct JoinAddrs {
+    r: u64,
+    s: u64,
+    reordered: u64,
+    counter: u64,
+    out: u64,
+}
+
+/// The hash join of one partition pair: the index build — a histogram of
+/// R, then R reordered by index range into `at.reordered` — chained with
+/// the probe of S. Returns the kernel chain and the rows it matches.
+fn hash_join(
+    r: &[Tuple],
+    s: &[Tuple],
+    at: JoinAddrs,
+    store: StoreKind,
+) -> (Vec<Box<dyn Kernel>>, Vec<reference::JoinRow>) {
+    let r = Data::from(r);
+    let bits = index_bits(r.len());
+    let idx = Arc::new(build_index(&r, bits));
+    let rows = probe_index(&idx, s);
+    let scheme = PartitionScheme::HashBits { bits };
+    let mut cursors: Vec<u64> = idx.offsets[..idx.offsets.len() - 1]
+        .iter()
+        .map(|&o| at.reordered + o as u64 * TUPLE_BYTES as u64)
+        .collect();
+    let addrs = scatter_addresses(&r, scheme, &mut cursors);
+    let kernels: Vec<Box<dyn Kernel>> = vec![
+        Box::new(HistogramKernel::new(r.clone(), at.r, at.counter, scheme)),
+        Box::new(ScatterKernel::new(r, at.r, at.counter, addrs, store, scheme)),
+        Box::new(HashProbeKernel::new(s.into(), idx, at.s, at.reordered, at.out, store)),
+    ];
+    (kernels, rows)
+}
+
+/// Folds one partition's groups into one side's groups.
+fn merge_groups(
+    into: &mut BTreeMap<u64, Aggregates>,
+    groups: impl IntoIterator<Item = (u64, Aggregates)>,
+) {
+    for (k, a) in groups {
+        into.entry(k).or_default().merge(&a);
+    }
 }
 
 /// Hash-table bits for roughly 2× occupancy over `entries` (group tables).

@@ -91,3 +91,15 @@ fn every_operator_on_the_engine_equals_its_reference() {
         }
     }
 }
+
+/// A FlatMap run that sets no fanout expands by the fanout of a default
+/// [`OpSpec`]: the engine and the registry share one default.
+#[test]
+fn default_flat_map_equals_the_default_spec_reference() {
+    let rel = uniform_relation(64, 16, 3);
+    let report =
+        ExperimentBuilder::new(OperatorKind::FlatMap).tiny().seed(1).input(rel.clone()).run();
+    let inv = OpInvocation { inputs: &[&rel], build: None, seed: 1 };
+    let spec = OpSpec::new(OperatorKind::FlatMap);
+    assert_eq!(report.output, operator(OperatorKind::FlatMap).reference(&spec, &inv));
+}

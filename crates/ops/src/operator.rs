@@ -92,14 +92,17 @@ pub struct OpSpec {
     /// Scan-predicate override (`None` = the operator's default: the §6
     /// searched-value scan for Scan, match-all for FlatMap).
     pub pred: Option<ScanPredicate>,
-    /// 1→N output amplification (FlatMap; 1 for every other operator).
+    /// 1→N output amplification: outputs per matching input tuple. Only
+    /// FlatMap reads it; [`OpSpec::new`] gives FlatMap 2 (the one
+    /// statement of its default) and every other operator 1.
     pub fanout: u64,
 }
 
 impl OpSpec {
     /// A default invocation of `kind`.
     pub fn new(kind: OperatorKind) -> Self {
-        Self { kind, pred: None, fanout: 1 }
+        let fanout = if kind == OperatorKind::FlatMap { 2 } else { 1 };
+        Self { kind, pred: None, fanout }
     }
 
     /// The registered operator this spec invokes.

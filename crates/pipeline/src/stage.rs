@@ -228,7 +228,9 @@ impl StageSpec {
             SparkOp::Filter => Some(StageSpec::Filter { modulus: 10, remainder: 0 }),
             SparkOp::LookupKey => Some(StageSpec::LookupKey { key: 0 }),
             SparkOp::Map => Some(StageSpec::Map { key_mul: 1, key_add: 1 }),
-            SparkOp::FlatMap => Some(StageSpec::FlatMap { fanout: 2 }),
+            SparkOp::FlatMap => {
+                Some(StageSpec::FlatMap { fanout: OpSpec::new(OperatorKind::FlatMap).fanout })
+            }
             SparkOp::MapValues => Some(StageSpec::MapValues { mul: 3, add: 1 }),
             SparkOp::GroupByKey => Some(StageSpec::GroupByKey),
             SparkOp::ReduceByKey => Some(StageSpec::ReduceByKey),
