@@ -155,7 +155,7 @@ fn branch_join_campaign_beats_serial_with_identical_outputs() {
 /// The checked-in baselines pin only each manifest's default mode; these
 /// pin every schedule byte-for-byte, so a refactor of the executor that
 /// moves one byte of a `serial` or `auto` artifact fails here.
-const MODE_DIGESTS: [(&str, Concurrency, u64); 8] = [
+const MODE_DIGESTS: [(&str, Concurrency, u64); 12] = [
     ("branch_join.toml", Concurrency::Serial, 0x56f2_0a6a_49f3_1936),
     ("branch_join.toml", Concurrency::Branch, 0xc74a_b397_f3e4_1b29),
     ("branch_join.toml", Concurrency::Stream, 0x5356_ac43_886c_25da),
@@ -164,6 +164,10 @@ const MODE_DIGESTS: [(&str, Concurrency, u64); 8] = [
     ("stream_chain.toml", Concurrency::Branch, 0x4c5d_41d2_0088_6da1),
     ("stream_chain.toml", Concurrency::Stream, 0x846a_5a3f_ecd2_43e4),
     ("stream_chain.toml", Concurrency::Auto, 0xb020_0235_6007_a477),
+    ("cogroup_union.toml", Concurrency::Serial, 0x8649_210b_1ab5_7ef2),
+    ("cogroup_union.toml", Concurrency::Branch, 0x9139_aa66_929c_068a),
+    ("cogroup_union.toml", Concurrency::Stream, 0xdb4f_f45b_18fa_06d8),
+    ("cogroup_union.toml", Concurrency::Auto, 0xb89e_ce77_3515_9cc5),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {
