@@ -30,7 +30,10 @@
 //! chunk counts per fused edge. The executor runs the default stream
 //! schedule and the planned one and charges whichever measured faster, so
 //! `auto ≤ min(serial, branch, stream)` holds by construction and a wrong
-//! prediction can never regress a run.
+//! prediction can never regress a run. The two candidates share engine
+//! runs ([`RunMemo`]): a stage the planned candidate runs on the same
+//! lease, or streams in the same chunk size, as the default candidate is
+//! simulated once and verified in both.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -204,10 +207,38 @@ impl Pipeline {
         self.validate().expect("invalid pipeline");
         let dag = self.dag();
         let source: Rel = cfg.source_relation().into();
+        let (serial, outputs) = self.serial_pass(cfg, cache, &source, label, sink);
 
-        // Serial reference pass: every stage on the whole machine, in
-        // stage order. The branch schedule is verified against (and its
-        // inputs resolved from) these outputs.
+        // Every mode runs one schedule executor; auto races a planned
+        // candidate against it. Serial runs lease nothing, so every wave
+        // charges its stages back to back, and their progress stream
+        // carries stage events only.
+        let obs = Observer {
+            label,
+            sink: if cfg.concurrency == Concurrency::Serial { &() } else { sink },
+        };
+        let (sched, planned) = if cfg.concurrency == Concurrency::Auto {
+            let (sched, planned) = self.race_planned(cfg, &dag, &source, &serial, &outputs, obs);
+            (sched, Some(planned))
+        } else {
+            let memo = RunMemo::default();
+            (self.exec_schedule(cfg, &dag, &source, &serial, &outputs, obs, None, &memo), None)
+        };
+        self.assemble(cfg, &dag, source.len(), serial, outputs, sched, planned)
+    }
+
+    /// The serial reference pass: every stage on the whole machine, in
+    /// stage order, each verified against its reference executor. Every
+    /// schedule is verified against (and its inputs resolved from) the
+    /// returned outputs.
+    fn serial_pass(
+        &self,
+        cfg: &PipelineConfig,
+        cache: &ExecCache,
+        source: &Rel,
+        label: &str,
+        sink: &dyn ProgressSink,
+    ) -> (Vec<StageRun>, Vec<Rel>) {
         let mut outputs: Vec<Rel> = Vec::new();
         let mut serial: Vec<StageRun> = Vec::new();
         // Non-tick events consumed by completed stages: the run-wide
@@ -232,7 +263,7 @@ impl Pipeline {
                 label,
                 &ProgressEvent::StageStarted { stage: i, op: stage.name().to_string() },
             );
-            let inputs = resolve_inputs(stage, i, &source, &outputs);
+            let inputs = resolve_inputs(stage, i, source, &outputs);
             let build = resolve_build(&stage.spec, &outputs);
             // Persistent-store fast path: a stage whose digest chain
             // (spec, source, input digests, build digest) is unchanged is
@@ -271,22 +302,7 @@ impl Pipeline {
             outputs.push(run.projected.clone());
             serial.push(run);
         }
-
-        // Every mode runs one schedule executor; auto races a planned
-        // candidate against it. Serial runs lease nothing, so every wave
-        // charges its stages back to back, and their progress stream
-        // carries stage events only.
-        let obs = Observer {
-            label,
-            sink: if cfg.concurrency == Concurrency::Serial { &() } else { sink },
-        };
-        let (sched, planned) = if cfg.concurrency == Concurrency::Auto {
-            let (sched, planned) = self.race_planned(cfg, &dag, &source, &serial, &outputs, obs);
-            (sched, Some(planned))
-        } else {
-            (self.exec_schedule(cfg, &dag, &source, &serial, &outputs, obs, None), None)
-        };
-        self.assemble(cfg, &dag, source.len(), serial, outputs, sched, planned)
+        (serial, outputs)
     }
 
     /// The branch-mode wave execution: waves with two or more ready
@@ -296,7 +312,8 @@ impl Pipeline {
     /// its run parked in `chosen` when the wave charges the concurrent
     /// layout, and a wave falls back to the serial schedule when
     /// concurrency does not pay. A plan may override a wave's equal
-    /// lease split with its weighted proposal.
+    /// lease split with its weighted proposal. Leased runs go through
+    /// `memo`.
     #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
     fn exec_waves(
         &self,
@@ -309,6 +326,7 @@ impl Pipeline {
         matches: &mut [bool],
         obs: Observer<'_>,
         plan: Option<&Plan>,
+        memo: &RunMemo,
     ) -> Vec<WaveExec> {
         let base = cfg.system_config();
         let total_vaults = base.total_vaults();
@@ -356,11 +374,13 @@ impl Pipeline {
                 dag.branches[b]
                     .iter()
                     .map(|&i| {
-                        let stage = &self.stages[i];
-                        let inputs = resolve_inputs(stage, i, source, outputs);
-                        let build = resolve_build(&stage.spec, outputs);
-                        let sys = base.restrict(leases[slot]);
-                        run_stage_engine(cfg, sys, stage, inputs, build, None)
+                        memo.run((i, Some(leases[slot]), None), || {
+                            let stage = &self.stages[i];
+                            let inputs = resolve_inputs(stage, i, source, outputs);
+                            let build = resolve_build(&stage.spec, outputs);
+                            let sys = base.restrict(leases[slot]);
+                            run_stage_engine(cfg, sys, stage, inputs, build, None)
+                        })
                     })
                     .collect()
             };
@@ -463,7 +483,9 @@ impl Pipeline {
     /// The default candidate is byte-for-byte the `Concurrency::Stream`
     /// execution, so `auto ≤ min(serial, branch, stream)` holds by
     /// construction; the `planned` block records the predictions and who
-    /// won so artifacts can attribute the outcome.
+    /// won so artifacts can attribute the outcome. The candidates share
+    /// one [`RunMemo`]: the default records its engine runs and the
+    /// planned candidate takes every run it asks for again.
     fn race_planned(
         &self,
         cfg: &PipelineConfig,
@@ -473,26 +495,17 @@ impl Pipeline {
         outputs: &[Rel],
         obs: Observer<'_>,
     ) -> (SchedExec, PlanReport) {
-        let sys = cfg.system_config();
-        let shapes: Vec<StageShape> = self
-            .stages
-            .iter()
-            .enumerate()
-            .map(|(i, stage)| StageShape {
-                rows_in: serial[i].input_rows,
-                rows_build: resolve_build(&stage.spec, outputs).map_or(0, |r| r.len()),
-                rows_out: outputs[i].len(),
-            })
-            .collect();
-        let plan = crate::plan::plan_pipeline(&self.stages, dag, &shapes, &sys, STREAM_CHUNKS);
+        let plan = self.plan(cfg, dag, serial, outputs);
 
         // Candidate D: the default stream schedule (emits the progress
         // events). Candidate P: the planned schedule, raced silently —
         // observation must not depend on which candidate wins.
-        let default = self.exec_schedule(cfg, dag, source, serial, outputs, obs, None);
+        let mut memo = RunMemo { record: plan.proposes_changes(), ..RunMemo::default() };
+        let default = self.exec_schedule(cfg, dag, source, serial, outputs, obs, None, &memo);
+        memo.record = false;
         let planned_exec = plan.proposes_changes().then(|| {
             let silent = Observer { label: obs.label, sink: &() };
-            self.exec_schedule(cfg, dag, source, serial, outputs, silent, Some(&plan))
+            self.exec_schedule(cfg, dag, source, serial, outputs, silent, Some(&plan), &memo)
         });
         let planner_won =
             planned_exec.as_ref().is_some_and(|p| p.makespan_ps() < default.makespan_ps());
@@ -542,12 +555,30 @@ impl Pipeline {
         (winner, planned)
     }
 
+    /// The cost-model plan for this run, built from the serial pass's
+    /// actual cardinalities ([`crate::plan::plan_pipeline`]).
+    fn plan(&self, cfg: &PipelineConfig, dag: &Dag, serial: &[StageRun], outputs: &[Rel]) -> Plan {
+        let shapes: Vec<StageShape> = self
+            .stages
+            .iter()
+            .enumerate()
+            .map(|(i, stage)| StageShape {
+                rows_in: serial[i].input_rows,
+                rows_build: resolve_build(&stage.spec, outputs).map_or(0, |r| r.len()),
+                rows_out: outputs[i].len(),
+            })
+            .collect();
+        let sys = cfg.system_config();
+        crate::plan::plan_pipeline(&self.stages, dag, &shapes, &sys, STREAM_CHUNKS)
+    }
+
     /// One complete schedule execution — the only executor, behind every
     /// mode and both `Concurrency::Auto` candidates (the planned one
     /// overrides leases and chunk counts). Runs the waves (leased unless
     /// `Concurrency::Serial`), re-executes fused consumers with chunked
     /// input (`Concurrency::Stream` and `Concurrency::Auto` only), and
     /// walks the wave timeline; every fallback applies per execution.
+    /// Leased and streamed runs go through `memo`.
     #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
     fn exec_schedule(
         &self,
@@ -558,6 +589,7 @@ impl Pipeline {
         outputs: &[Rel],
         obs: Observer<'_>,
         plan: Option<&Plan>,
+        memo: &RunMemo,
     ) -> SchedExec {
         let n = self.stages.len();
         let mut chosen: Vec<Option<StageRun>> = (0..n).map(|_| None).collect();
@@ -572,6 +604,7 @@ impl Pipeline {
             &mut matches,
             obs,
             plan,
+            memo,
         );
         let concurrent: Vec<bool> = chosen.iter().map(Option::is_some).collect();
         let base = cfg.system_config();
@@ -599,24 +632,25 @@ impl Pipeline {
             }
             let chunk_count =
                 plan.and_then(|p| p.edge_chunks(producer, consumer)).unwrap_or(STREAM_CHUNKS);
-            let chunks = chunk_stream(&outputs[producer], chunk_count);
             let wave = &execs[dag.wave_of(consumer)];
-            let sys = match &wave.leases {
-                Some(leases) => {
-                    let slot = wave
-                        .report
-                        .branches
-                        .iter()
-                        .position(|b| b.branch == dag.branch_of[consumer])
-                        .expect("consumer's branch is in its wave");
-                    base.restrict(leases[slot])
-                }
-                None => cfg.system_config(),
-            };
-            let stage = &self.stages[consumer];
-            let inputs = resolve_inputs(stage, consumer, source, outputs);
-            let build = resolve_build(&stage.spec, outputs);
-            let run = run_stage_engine(cfg, sys, stage, inputs, build, Some(chunks));
+            let lease = wave.leases.as_ref().map(|leases| {
+                let slot = wave
+                    .report
+                    .branches
+                    .iter()
+                    .position(|b| b.branch == dag.branch_of[consumer])
+                    .expect("consumer's branch is in its wave");
+                leases[slot]
+            });
+            let chunk_rows = chunk_len(outputs[producer].len(), chunk_count);
+            let run = memo.run((consumer, lease, Some(chunk_rows)), || {
+                let sys = lease.map_or_else(|| base.clone(), |l| base.restrict(l));
+                let stage = &self.stages[consumer];
+                let inputs = resolve_inputs(stage, consumer, source, outputs);
+                let build = resolve_build(&stage.spec, outputs);
+                let chunks = chunk_stream(&outputs[producer], chunk_count);
+                run_stage_engine(cfg, sys, stage, inputs, build, Some(chunks))
+            });
             matches[consumer] &= run.projected[..] == outputs[consumer][..];
             // An engine path that records no per-chunk rounds cannot be
             // overlapped in the timeline walk — fall back to the
@@ -960,8 +994,14 @@ const STREAM_CHUNKS: usize = 8;
 /// materialized slot before chunking.
 fn chunk_stream(rel: &Rel, chunks: usize) -> Vec<Rel> {
     assert!(!rel.is_empty(), "empty producer outputs skip fusion");
-    let per = rel.len().div_ceil(chunks.clamp(1, rel.len()));
-    rel.chunks(per).map(Arc::from).collect()
+    rel.chunks(chunk_len(rel.len(), chunks)).map(Arc::from).collect()
+}
+
+/// The length of [`chunk_stream`]'s slices (all but possibly the last):
+/// two chunk counts that cut a relation of `rows` tuples the same way
+/// stream the same run.
+fn chunk_len(rows: usize, chunks: usize) -> usize {
+    rows.div_ceil(chunks.clamp(1, rows))
 }
 
 /// Extracts a streamed run's per-chunk partition rounds and its time
@@ -975,6 +1015,7 @@ fn stream_rounds(run: &StageRun) -> Option<(Vec<Time>, Time)> {
 }
 
 /// One executed stage (on the whole machine or on a lease).
+#[derive(Clone)]
 struct StageRun {
     input_rows: usize,
     report: Report,
@@ -986,9 +1027,8 @@ struct StageRun {
 /// output. Multi-input stages hand every resolved edge relation to the
 /// builder, in edge order; a streamed run replaces its primary edge with
 /// the chunked arrival stream. The reference verdict is filled in by the
-/// caller (serial runs compare against the pure reference executor,
-/// partition and streamed runs against the serial outputs), so the
-/// simulation can overlap with whichever check applies.
+/// caller: serial runs compare against the pure reference executor,
+/// partition and streamed runs against the serial outputs.
 fn run_stage_engine(
     cfg: &PipelineConfig,
     sys_cfg: SystemConfig,
@@ -1023,6 +1063,50 @@ fn run_stage_engine(
     let report = builder.run();
     let projected: Rel = stage.spec.project_output(&report.output).into();
     StageRun { input_rows, report, projected, reference_ok: false }
+}
+
+/// Which engine run a schedule asks for: the stage index, the lease it
+/// runs on (`None` = the whole machine) and, for a streamed consumer, the
+/// length of its arrival chunks ([`chunk_len`]). Inputs always come from
+/// the serial pass's outputs, so equal keys within one pipeline run name
+/// byte-identical simulations. The lease is compared whole, `index`
+/// included, because it labels the run's stats.
+type RunKey = (usize, Option<PartitionSpec>, Option<usize>);
+
+/// The engine runs shared between `Concurrency::Auto`'s two race
+/// candidates. The default candidate records a copy of every leased and
+/// streamed run (`record`); the planned candidate asks for the same keys
+/// and takes the recorded run instead of simulating it again, then checks
+/// it against the serial outputs exactly as a fresh run. A hit removes its
+/// entry, because each candidate asks for a key at most once, so the memo
+/// never holds more than the default candidate's runs.
+///
+/// The memo lives for one [`Pipeline::run_observed`] call and is dropped
+/// on unwind, so the campaign's bounded retry simulates from scratch. A
+/// hit does not enter the engine, so the run's fault points do not fire a
+/// second time: `stall_at_event` under `auto` stalls once for a shared
+/// run, not once per candidate. Every other mode runs one candidate with
+/// an empty, non-recording memo and simulates every run.
+#[derive(Default)]
+struct RunMemo {
+    runs: Mutex<HashMap<RunKey, StageRun>>,
+    record: bool,
+}
+
+impl RunMemo {
+    /// The recorded run for `key`, or `exec`'s fresh run (recorded when
+    /// the memo records). The lock is not held while `exec` simulates, so
+    /// concurrent branches run in parallel.
+    fn run(&self, key: RunKey, exec: impl FnOnce() -> StageRun) -> StageRun {
+        if let Some(run) = self.runs.lock().expect("run memo poisoned").remove(&key) {
+            return run;
+        }
+        let run = exec();
+        if self.record {
+            self.runs.lock().expect("run memo poisoned").insert(key, run.clone());
+        }
+        run
+    }
 }
 
 /// Cooperative wall-time checkpoint: unwinds with a structured
@@ -1584,6 +1668,55 @@ mod tests {
             );
             assert!(serial.planned.is_none() && stream.planned.is_none());
         }
+    }
+
+    #[test]
+    fn shared_runs_change_nothing() {
+        // Wave 0 holds three filter -> {group-by, group-by, sort}
+        // branches, the first two with a fused edge; the planner re-leases
+        // it unequally on CPU, where it runs concurrently. Wave 1 holds two
+        // joins on the equal split, which the planned candidate shares
+        // with the default one.
+        let pipeline = Pipeline::from_stages(vec![
+            Stage::chained(StageSpec::Filter { modulus: 10, remainder: 0 }),
+            Stage::chained(StageSpec::GroupByKey),
+            Stage::with_input(StageSpec::Filter { modulus: 3, remainder: 1 }, StageInput::Source),
+            Stage::chained(StageSpec::GroupByKey),
+            Stage::with_input(StageSpec::Filter { modulus: 7, remainder: 2 }, StageInput::Source),
+            Stage::chained(StageSpec::SortByKey),
+            Stage::with_input(StageSpec::Join { build: BuildSide::Stage(3) }, StageInput::Stage(1)),
+            Stage::with_input(StageSpec::Join { build: BuildSide::Stage(3) }, StageInput::Stage(5)),
+        ]);
+        let mut cfg = PipelineConfig::tiny(SystemKind::Cpu);
+        cfg.concurrency = Concurrency::Auto;
+        let dag = pipeline.dag();
+        assert_eq!(dag.waves.len(), 2);
+        assert!(!dag.fused_pairs(pipeline.stages()).is_empty());
+        let source: Rel = cfg.source_relation().into();
+        let (serial, outputs) = pipeline.serial_pass(&cfg, &ExecCache::default(), &source, "", &());
+        let plan = pipeline.plan(&cfg, &dag, &serial, &outputs);
+        assert!(plan.wave_leases(0).is_some() && plan.wave_leases(1).is_none());
+        let obs = Observer { label: "", sink: &() };
+        let exec = |plan: Option<&Plan>, memo: &RunMemo| {
+            pipeline.exec_schedule(&cfg, &dag, &source, &serial, &outputs, obs, plan, memo)
+        };
+        // The fields a candidate charges, and the checks it made.
+        let charged = |e: &SchedExec| {
+            format!("{:?} {:?} {:?} {}", e.waves, e.fused, e.matches, e.makespan_ps())
+        };
+
+        let mut memo = RunMemo { record: true, ..RunMemo::default() };
+        let default = exec(None, &memo);
+        memo.record = false;
+        let recorded = memo.runs.lock().unwrap().len();
+        let planned = exec(Some(&plan), &memo);
+        let served = recorded - memo.runs.lock().unwrap().len();
+        assert!(served >= 1, "the planned candidate shares no run with the default");
+
+        assert_eq!(charged(&default), charged(&exec(None, &RunMemo::default())));
+        assert_eq!(charged(&planned), charged(&exec(Some(&plan), &RunMemo::default())));
+        assert!(planned.waves[0].concurrent, "the re-leased wave is charged");
+        assert!(planned.matches.iter().all(|&m| m));
     }
 
     #[test]
