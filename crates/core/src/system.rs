@@ -86,7 +86,7 @@ enum VaultOp {
 enum Ev {
     Advance(usize),
     VaultTick(u32),
-    MemDone { pending: usize, done: Time },
+    MemDone { pending: usize },
     L1FillDone { core: usize, line: u64 },
     LlcFillDone { line: u64 },
 }
@@ -143,6 +143,8 @@ pub struct Machine {
     l1s: Vec<Cache>,
     llc: Option<Cache>,
     prefetcher: NextLinePrefetcher,
+    /// Clock period of the compute units, which time L1 and LLC hits.
+    core_period: Time,
     now: Time,
     /// Permutable region base per vault while a shuffle is active.
     perm_bases: HashMap<u32, u64>,
@@ -219,6 +221,7 @@ impl Machine {
             l1s,
             llc,
             prefetcher: NextLinePrefetcher::table3(),
+            core_period: cfg.kind.core_config().clock.period_ps(),
             now: 0,
             perm_bases: HashMap::new(),
             perm_arrivals: HashMap::new(),
@@ -388,6 +391,12 @@ impl Machine {
     /// other vault's next event can only move through its own tick, which
     /// reschedules it.
     ///
+    /// A reschedule to a sooner time leaves the vault's later tick in the
+    /// queue. `vault_tick` names the one live tick per vault, and a popped
+    /// tick it does not name is skipped: at that time the vault has
+    /// nothing due (its next event is later), so polling it would do
+    /// nothing but queue a duplicate of the live tick.
+    ///
     /// # Errors
     ///
     /// Returns the number of dropped permutable writes if any destination
@@ -535,6 +544,15 @@ impl Machine {
             match ev {
                 Ev::Advance(i) => advance_core!(i),
                 Ev::VaultTick(v) => {
+                    if vault_tick[v as usize] != Some(t) {
+                        // A leftover of an earlier reschedule to a sooner
+                        // time; the live tick is still queued.
+                        debug_assert!(
+                            self.vaults[v as usize].next_event_time().is_none_or(|n| n > t),
+                            "stale tick for vault {v} at {t} would have found work"
+                        );
+                        continue;
+                    }
                     vault_tick[v as usize] = None;
                     crate::faultpoint!(self.cfg.fault, fault::Site::VaultPoll);
                     self.vaults[v as usize].poll_into(t, done);
@@ -545,7 +563,7 @@ impl Machine {
                             VaultOp::Fire => {}
                             VaultOp::StreamFill { pending: p } => {
                                 let done_at = c.finish + PS_PER_NS;
-                                queue.schedule(done_at, Ev::MemDone { pending: p, done: done_at });
+                                queue.schedule(done_at, Ev::MemDone { pending: p });
                             }
                             VaultOp::L1Fill { core, line } => {
                                 let back = self.route_from_vault(
@@ -565,17 +583,17 @@ impl Machine {
                     }
                     sched_vault!(queue, vault_tick, v);
                 }
-                Ev::MemDone { pending: p, done } => {
+                Ev::MemDone { pending: p } => {
                     let core_id = pending[p].core;
                     let req = pending[p].req;
                     if let Some(core) = cores[core_id].as_mut() {
                         out_buf.clear();
-                        core.complete_mem(&req, done, out_buf);
+                        core.complete_mem(&req, t, out_buf);
                         for r in out_buf.drain(..) {
                             handle_reqs.push_back((core_id, r));
                         }
                     }
-                    queue.schedule(done, Ev::Advance(core_id));
+                    queue.schedule(t, Ev::Advance(core_id));
                 }
                 Ev::L1FillDone { core, line } => {
                     self.l1s[core].complete_fill(line);
@@ -585,7 +603,7 @@ impl Machine {
                             if matches!(req.kind, MemKind::Store(_)) {
                                 self.l1s[core].mark_dirty(req.addr);
                             }
-                            queue.schedule(t, Ev::MemDone { pending: p, done: t });
+                            queue.schedule(t, Ev::MemDone { pending: p });
                         }
                     }
                     // Retry accesses stalled on MSHRs (they re-enter
@@ -679,7 +697,7 @@ impl Machine {
                 // has accepted the message (link back-pressure applies via
                 // the reservation in `arr`); the DRAM write itself still
                 // holds the phase open until it drains.
-                queue.schedule(arr, Ev::MemDone { pending: p, done: arr });
+                queue.schedule(arr, Ev::MemDone { pending: p });
                 // Split at DRAM row boundaries (the HMC protocol would carry
                 // this as one packet; the controller issues per-row column
                 // commands).
@@ -758,12 +776,11 @@ impl Machine {
         stalls: &mut [VecDeque<usize>],
     ) {
         let is_write = matches!(req.kind, MemKind::Store(_));
-        let core_period = self.cfg.kind.core_config().clock.period_ps();
-        let t_hit = req.issue_at + self.cfg.l1_hit_cycles * core_period;
+        let t_hit = req.issue_at + self.cfg.l1_hit_cycles * self.core_period;
         let line = self.cfg.l1.line_of(req.addr);
         match self.l1s[core].lookup(req.addr, is_write) {
             Lookup::Hit => {
-                queue.schedule(t_hit, Ev::MemDone { pending: p, done: t_hit });
+                queue.schedule(t_hit, Ev::MemDone { pending: p });
             }
             Lookup::PendingMiss => {
                 l1_waiters[core].entry(line).or_default().push(p);
@@ -803,8 +820,7 @@ impl Machine {
         }
         if self.llc.is_some() {
             // CPU system: consult the shared LLC.
-            let cpu_period = self.cfg.kind.core_config().clock.period_ps();
-            let t_llc = t + self.cfg.llc_hit_cycles * cpu_period;
+            let t_llc = t + self.cfg.llc_hit_cycles * self.core_period;
             let llc = self.llc.as_mut().expect("checked");
             match llc.lookup(line, false) {
                 Lookup::Hit => {

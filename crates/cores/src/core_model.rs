@@ -476,7 +476,7 @@ impl Core {
                         });
                     }
                 }
-                self.window.push_back(Done::AfterTag { tag, min_time: slot + period, extra: 0 });
+                self.push_after_tag(tag, slot + period, 0);
                 self.last_load = LastLoad::Pending(tag);
             }
             MicroOp::Store { addr, bytes, kind } => {
@@ -553,13 +553,27 @@ impl Core {
                 self.window.push_back(Done::At((slot + period).max(t + period)));
             }
             (Dep::OnPrevLoad, LastLoad::Pending(tag)) => {
-                self.window.push_back(Done::AfterTag {
-                    tag,
-                    min_time: slot + period,
-                    extra: period,
-                });
+                self.push_after_tag(tag, slot + period, period);
             }
         }
+    }
+
+    /// Appends an entry waiting on load `tag`. Loads take fresh, increasing
+    /// tags and dependents wait on the newest load, so `AfterTag` tags never
+    /// decrease along the window; [`Core::complete_mem`] relies on that.
+    fn push_after_tag(&mut self, tag: u64, min_time: Time, extra: Time) {
+        debug_assert!(
+            self.window
+                .iter()
+                .rev()
+                .find_map(|e| match *e {
+                    Done::AfterTag { tag, .. } => Some(tag),
+                    Done::At(_) => None,
+                })
+                .is_none_or(|newest| newest <= tag),
+            "AfterTag tags must not decrease along the window"
+        );
+        self.window.push_back(Done::AfterTag { tag, min_time, extra });
     }
 
     fn dispatch_stream_load(
@@ -625,9 +639,14 @@ impl Core {
         let period = self.period();
         match req.kind {
             MemKind::Load => {
-                // Resolve window entries waiting on this tag.
+                // Resolve window entries waiting on this tag. Tags never
+                // decrease along the window, so the scan stops at the
+                // first larger one.
                 for entry in self.window.iter_mut() {
                     if let Done::AfterTag { tag, min_time, extra } = *entry {
+                        if tag > req.tag {
+                            break;
+                        }
                         if tag == req.tag {
                             *entry = Done::At(min_time.max(done + extra));
                         }

@@ -133,6 +133,8 @@ impl VaultConfig {
     /// a multiple of the row size, etc.). Called by the vault constructor.
     pub fn validate(&self) {
         assert!(self.banks > 0, "vault must have at least one bank");
+        // The scheduler indexes banks with candidates in a `u64` mask.
+        assert!(self.banks <= 64, "a vault has at most 64 banks");
         assert!(self.row_bytes > 0, "row size must be non-zero");
         assert!(
             self.capacity.is_multiple_of(self.row_bytes as u64),

@@ -21,7 +21,7 @@
 
 use std::collections::VecDeque;
 
-use mondrian_sim::{EventQueue, Stats, Time};
+use mondrian_sim::{Stats, Time};
 
 use crate::config::VaultConfig;
 
@@ -130,10 +130,10 @@ struct Pending {
 /// One priority class of the FR-FCFS scheduler: the pending requests in
 /// arrival order plus an incrementally maintained **ready-candidate
 /// index** — per bank, the `(seq, row)` pairs of that bank's requests
-/// currently inside the scheduling window. A pick consults only the
-/// target bank's candidates instead of rescanning the whole window per
-/// bank, turning the scheduler's inner loop from O(banks × window) per
-/// issue round into O(window) total.
+/// currently inside the scheduling window, and a mask of the banks that
+/// have any. A pick consults only the target bank's candidates instead of
+/// rescanning the whole window per bank, and the issue loop visits only
+/// the masked banks.
 #[derive(Debug)]
 struct SchedQueue {
     /// Requests in arrival order, tagged with a monotone arrival seq.
@@ -144,6 +144,8 @@ struct SchedQueue {
     /// Per bank: this bank's in-window requests as `(seq, row)`, in
     /// arrival order.
     by_bank: Vec<VecDeque<(u64, u64)>>,
+    /// Bit `b` is set iff `by_bank[b]` is non-empty.
+    mask: u64,
     next_seq: u64,
 }
 
@@ -153,6 +155,7 @@ impl SchedQueue {
             queue: VecDeque::new(),
             window: window.max(1),
             by_bank: vec![VecDeque::new(); banks as usize],
+            mask: 0,
             next_seq: 0,
         }
     }
@@ -168,9 +171,14 @@ impl SchedQueue {
         // the window; it is the youngest, so push_back keeps the bank's
         // candidate list in arrival order.
         if self.queue.len() < self.window {
-            self.by_bank[p.bank as usize].push_back((seq, p.row));
+            self.add_candidate(seq, &p);
         }
         self.queue.push_back((seq, p));
+    }
+
+    fn add_candidate(&mut self, seq: u64, p: &Pending) {
+        self.by_bank[p.bank as usize].push_back((seq, p.row));
+        self.mask |= 1 << p.bank;
     }
 
     /// FR-FCFS within the window for `bank`: the oldest open-row hit,
@@ -193,16 +201,14 @@ impl SchedQueue {
         let cands = &mut self.by_bank[p.bank as usize];
         let pos = cands.iter().position(|&(s, _)| s == seq).expect("picked from the window");
         cands.remove(pos);
+        if cands.is_empty() {
+            self.mask &= !(1 << p.bank);
+        }
         if self.queue.len() >= self.window {
-            let &(s, ref slid) = &self.queue[self.window - 1];
-            self.by_bank[slid.bank as usize].push_back((s, slid.row));
+            let (s, slid) = self.queue[self.window - 1];
+            self.add_candidate(s, &slid);
         }
         p
-    }
-
-    /// Whether `bank` has an in-window candidate.
-    fn bank_has_candidate(&self, bank: usize) -> bool {
-        !self.by_bank[bank].is_empty()
     }
 }
 
@@ -292,7 +298,10 @@ pub struct VaultController {
     /// Posted writes, drained when no read can issue.
     writes: SchedQueue,
     bus_free: Time,
-    completions: EventQueue<DramCompletion>,
+    /// Issued requests in issue order, which is also `finish` order: each
+    /// issue starts its transfer on the shared data path no earlier than
+    /// the previous one ended, so the queue is a plain FIFO.
+    completions: VecDeque<DramCompletion>,
     stats: VaultStats,
     perm: Option<PermutableRegion>,
     perm_cursor: u64,
@@ -314,7 +323,7 @@ impl VaultController {
             cfg,
             base,
             bus_free: 0,
-            completions: EventQueue::new(),
+            completions: VecDeque::new(),
             stats: VaultStats::default(),
             perm: None,
             perm_cursor: 0,
@@ -445,10 +454,18 @@ impl VaultController {
         Ok(())
     }
 
+    /// Issues rounds of FR-FCFS picks, one per ready bank in ascending bank
+    /// order, until a round issues nothing. Only banks with an in-window
+    /// candidate can issue, so a round visits the set bits of the two
+    /// candidate masks; the mask is re-read after every bank because a
+    /// request sliding into the window can light a higher bank that the
+    /// same round still serves.
     fn try_issue(&mut self, now: Time) {
         loop {
             let mut issued = false;
-            for b in 0..self.cfg.banks {
+            let mut from = 0;
+            while let Some(b) = lowest_bit_from(self.reads.mask | self.writes.mask, from) {
+                from = b + 1;
                 if self.banks[b as usize].ready > now {
                     continue;
                 }
@@ -513,8 +530,11 @@ impl VaultController {
         }
         self.stats.busy_time += transfer;
         let finish = data_end + self.cfg.ctrl_overhead;
-        self.completions
-            .schedule(finish, DramCompletion { id: p.id, addr: p.addr, kind: p.kind, finish });
+        debug_assert!(
+            self.completions.back().is_none_or(|c| c.finish <= finish),
+            "completions must leave the data path in issue order"
+        );
+        self.completions.push_back(DramCompletion { id: p.id, addr: p.addr, kind: p.kind, finish });
     }
 
     /// Advances the controller to `now` and returns completions due by then.
@@ -530,24 +550,23 @@ impl VaultController {
     pub fn poll_into(&mut self, now: Time, done: &mut Vec<DramCompletion>) {
         done.clear();
         self.try_issue(now);
-        while self.completions.peek_time().is_some_and(|t| t <= now) {
-            done.push(self.completions.pop().expect("peeked").1);
+        while self.completions.front().is_some_and(|c| c.finish <= now) {
+            done.push(self.completions.pop_front().expect("peeked"));
         }
     }
 
     /// The next time the controller needs attention (a completion fires or a
     /// bank frees up with work pending), or `None` when fully idle.
     pub fn next_event_time(&self) -> Option<Time> {
-        let mut next = self.completions.peek_time();
+        let mut next = self.completions.front().map(|c| c.finish);
         // Work is pending: the earliest a stalled request can issue is when
         // the bank of some request inside the scheduling window frees up.
-        // The candidate index names exactly those banks.
-        for queue in [&self.reads, &self.writes] {
-            for (b, bank) in self.banks.iter().enumerate() {
-                if queue.bank_has_candidate(b) {
-                    next = Some(next.map_or(bank.ready, |n| n.min(bank.ready)));
-                }
-            }
+        // The candidate masks name exactly those banks.
+        let mut mask = self.reads.mask | self.writes.mask;
+        while mask != 0 {
+            let ready = self.banks[mask.trailing_zeros() as usize].ready;
+            next = Some(next.map_or(ready, |n| n.min(ready)));
+            mask &= mask - 1;
         }
         next
     }
@@ -561,6 +580,12 @@ impl VaultController {
     pub fn reset_stats(&mut self) {
         self.stats = VaultStats::default();
     }
+}
+
+/// The lowest set bit of `mask` at or above bit `from`.
+fn lowest_bit_from(mask: u64, from: u32) -> Option<u32> {
+    let rest = mask.checked_shr(from).unwrap_or(0);
+    (rest != 0).then(|| from + rest.trailing_zeros())
 }
 
 /// Test/bench helper: runs `vault` until idle, returning all completions in
@@ -793,6 +818,41 @@ mod tests {
         let read_fin = done.iter().find(|c| c.id == 1000).unwrap().finish;
         let last = done.iter().map(|c| c.finish).max().unwrap();
         assert!(read_fin < last / 4, "read served at {read_fin}, drain ends {last}: no priority");
+    }
+
+    #[test]
+    fn completions_leave_in_strictly_increasing_finish_order() {
+        // Mixed reads, writes and permutable writes over every bank, with
+        // row hits, conflicts and staggered arrivals: `poll` must hand back
+        // completions in strictly increasing `finish` order, the property
+        // that lets the completion queue be a FIFO.
+        let mut v = small_vault();
+        let perm_base = 1 << 19;
+        v.set_permutable_region(PermutableRegion { base: perm_base, size: 4096, object_bytes: 16 });
+        let banks = v.config().banks as u64;
+        for i in 0..600u64 {
+            let addr = (i * 7 % (4 * banks)) * 256 + (i % 4) * 16;
+            let kind = match i % 5 {
+                0 | 3 => AccessKind::Write,
+                4 => AccessKind::PermutableWrite,
+                _ => AccessKind::Read,
+            };
+            let addr = if kind == AccessKind::PermutableWrite { perm_base } else { addr };
+            v.enqueue(DramRequest { id: i, addr, bytes: 16, kind }, i / 8 * PS_PER_NS).unwrap();
+        }
+        let done = drain(&mut v);
+        assert_eq!(done.len(), 600);
+        assert!(done.windows(2).all(|w| w[0].finish < w[1].finish), "finish order broken");
+        let s = v.stats();
+        assert!(s.row_hits > 0 && s.row_conflicts > 0 && s.perm_writes == 120);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 banks")]
+    fn more_than_64_banks_are_rejected() {
+        let mut cfg = VaultConfig::hmc();
+        cfg.banks = 65;
+        cfg.validate();
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //!   clock, 10 GHz SerDes lanes) can interoperate without rounding drift,
 //! * [`Clock`], a frequency-domain helper converting between cycles and
 //!   picoseconds,
-//! * [`EventQueue`], a deterministic binary-heap event queue generic over the
-//!   event payload type (the engine crate instantiates it with its unified
-//!   message enum), and
+//! * [`EventQueue`], a deterministic monotone event queue (a radix heap)
+//!   generic over the event payload type (the engine crate instantiates it
+//!   with its unified message enum). Events pop in `(time, scheduling
+//!   order)` order; events scheduled before the latest popped time fall back
+//!   to a small binary heap and pop first, so the order holds for them too,
 //! * [`Stats`], a hierarchical counter registry used by the energy model and
 //!   the benchmark harness, and
 //! * [`StealQueue`], a work-stealing task queue the sweep executors use to
