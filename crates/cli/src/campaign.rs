@@ -348,9 +348,6 @@ pub fn run_campaign_store<F: FnMut(&CampaignRun)>(
     // The faulted sweep position (if any) is excluded from memoization in
     // both directions: it must not serve a possibly-degraded report to
     // clean duplicates, and it must actually execute so the fault fires.
-    // The exclusion depends only on the manifest, never on whether the
-    // `fault-inject` feature is compiled, so artifacts keep the same
-    // shape either way.
     let fault_run: Option<usize> = manifest.fault.as_ref().map(|p| p.run);
     let fault_handle: Option<Arc<FaultHandle>> =
         manifest.fault.clone().map(|p| Arc::new(FaultHandle::new(p)));

@@ -3,8 +3,8 @@
 //! every `jobs` value while simulating nothing,
 //! corrupted entries must degrade to misses (never into results or exit
 //! codes), an edited manifest must re-simulate only the affected DAG
-//! suffix, and fault-injected or retried runs must never reach the
-//! store.
+//! suffix, and runs with an injected fault or a retry must never reach
+//! the store.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;

@@ -247,8 +247,7 @@ pub struct SystemConfig {
     /// structured [`crate::fault::Abort`] the moment the count would
     /// exceed the budget.
     pub event_budget: Option<u64>,
-    /// Armed fault-injection plan for this run (no-op unless the
-    /// `fault-inject` feature is compiled in).
+    /// Armed fault plan for this run.
     pub fault: Option<Arc<FaultHandle>>,
 }
 

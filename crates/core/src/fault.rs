@@ -6,14 +6,11 @@
 //!   wall-time deadline), the engine unwinds with an [`Abort`] payload
 //!   instead of a bare string, so the campaign layer can map the failure
 //!   onto a standardized exit reason without parsing panic messages.
-//! * **Deterministic fault points** — test-only trapdoors, compiled in
-//!   behind the `fault-inject` feature and armed by a [`FaultPlan`], that
-//!   fire at *simulation-deterministic* checkpoints (the Nth non-tick
+//! * **Deterministic fault points** — trapdoors, armed by a [`FaultPlan`],
+//!   that fire at *simulation-deterministic* checkpoints (the Nth non-tick
 //!   event, a vault poll, a stage digest) so an injected failure lands at
-//!   the same point for every `--jobs` value.
-//!
-//! Without the `fault-inject` feature every fault point compiles to a
-//! no-op; aborts and limits are always live.
+//!   the same point for every `--jobs` value. With no plan armed a fault
+//!   point is one `None` check.
 
 use std::any::Any;
 use std::panic::panic_any;
@@ -144,8 +141,6 @@ pub enum Site {
 }
 
 /// Evaluates `site` against an armed plan: panics or stalls on a match.
-/// Compiled to a no-op without the `fault-inject` feature.
-#[cfg(feature = "fault-inject")]
 pub fn trip(handle: &FaultHandle, site: Site) {
     match site {
         Site::Event(n) => {
@@ -164,14 +159,8 @@ pub fn trip(handle: &FaultHandle, site: Site) {
     }
 }
 
-/// No-op: the `fault-inject` feature is disabled.
-#[cfg(not(feature = "fault-inject"))]
-pub fn trip(_handle: &FaultHandle, _site: Site) {}
-
 /// The XOR mask to fold into stage `stage`'s recorded output digest —
-/// zero unless an armed plan corrupts exactly that stage. Compiled to a
-/// constant zero without the `fault-inject` feature.
-#[cfg(feature = "fault-inject")]
+/// zero unless an armed plan corrupts exactly that stage.
 pub fn digest_xor(handle: Option<&FaultHandle>, stage: usize) -> u64 {
     match handle {
         Some(h) if h.plan.corrupt_digest_stage == Some(stage) && h.arm() => 0xdead_beef_dead_beef,
@@ -179,16 +168,9 @@ pub fn digest_xor(handle: Option<&FaultHandle>, stage: usize) -> u64 {
     }
 }
 
-/// Constant zero: the `fault-inject` feature is disabled.
-#[cfg(not(feature = "fault-inject"))]
-pub fn digest_xor(_handle: Option<&FaultHandle>, _stage: usize) -> u64 {
-    0
-}
-
 /// Evaluates a fault [`Site`](crate::fault::Site) against an optional
 /// `Option<Arc<FaultHandle>>`-shaped plan. Expands to a guarded call of
-/// [`fault::trip`](crate::fault::trip), which is a no-op without the
-/// `fault-inject` feature.
+/// [`fault::trip`](crate::fault::trip).
 #[macro_export]
 macro_rules! faultpoint {
     ($handle:expr, $site:expr) => {
@@ -232,7 +214,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn event_fault_fires_at_exactly_its_event() {
         let h = FaultHandle::new(FaultPlan { panic_at_event: Some(3), ..FaultPlan::default() });
@@ -244,7 +225,6 @@ mod tests {
         assert_eq!(panic_message(err.as_ref()), "injected panic at event 3");
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn digest_corruption_targets_one_stage() {
         let h =

@@ -14,7 +14,7 @@
 //! * [`experiment`] — the end-to-end driver running Scan/Sort/Group-by/Join
 //!   on any system and verifying results against reference implementations,
 //! * [`fault`] — structured aborts (cooperative limits) and deterministic
-//!   fault injection behind the `fault-inject` feature.
+//!   fault injection.
 //!
 //! # Quickstart
 //!

@@ -1420,8 +1420,7 @@ pub struct PipelineConfig {
     /// `limit_wall_time` abort. Host-dependent by nature for nonzero
     /// budgets — an already-expired deadline degrades deterministically.
     pub deadline: Option<Instant>,
-    /// Armed fault-injection plan for this run (inert unless the
-    /// `fault-inject` feature is compiled into the engine).
+    /// Armed fault plan for this run.
     pub fault: Option<Arc<FaultHandle>>,
 }
 

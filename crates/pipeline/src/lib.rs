@@ -69,8 +69,8 @@ mod stage;
 pub use exec::{ExecCache, ExecStore, Pipeline, PipelineConfig, StageEntry};
 pub use observe::{run_metrics, trace_run};
 pub use report::{
-    relation_digest, BranchSchedule, FusedEdge, PipelineReport, PlanReport, PlannedEdgeReport,
-    PlannedLease, PlannedWaveReport, ScheduleReport, StageOutcome, WaveReport,
+    fnv1a, relation_digest, BranchSchedule, FusedEdge, PipelineReport, PlanReport,
+    PlannedEdgeReport, PlannedLease, PlannedWaveReport, ScheduleReport, StageOutcome, WaveReport,
 };
 pub use schedule::{Concurrency, Dag};
 pub use stage::{derive_dimension, BuildSide, Stage, StageInput, StageSpec};

@@ -9,8 +9,8 @@ use mondrian_workloads::Tuple;
 use crate::schedule::Concurrency;
 use crate::stage::{StageInput, StageSpec};
 
-/// FNV-1a over a byte stream.
-pub(crate) fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+/// FNV-1a (64-bit) over a byte stream.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {
         h ^= b as u64;

@@ -1,11 +1,22 @@
-//! A hand-rolled binary codec for the persisted result types.
+//! The binary codec for the persisted result types.
 //!
 //! The repository deliberately carries no serialization dependency, so the
-//! store encodes the [`PipelineReport`] tree the same way the CLI renders
-//! JSON: by hand, field by field. The format is little-endian,
-//! length-prefixed, and strictly versioned by [`crate::STORE_FORMAT_VERSION`]
-//! — any layout change must bump that constant, which rotates the on-disk
-//! directory instead of attempting migration.
+//! store encodes the [`PipelineReport`] tree itself, through one trait,
+//! [`Codec`]. Each layout is stated once and both directions follow from
+//! that one statement: a struct lists its `field: Type` pairs in encoding
+//! order in [`record!`], a fieldless enum lists its tags in [`tags!`], and
+//! only the enums that carry data ([`StageInput`], [`StageSpec`],
+//! [`OpOutput`], [`Stat`]) and the [`Stats`] registry are written by hand.
+//!
+//! The format is little-endian and length-prefixed: integers at their
+//! width (`usize` as 8 bytes), `f64` as its bits, `bool`s and enum tags as
+//! one byte, strings, sequences and maps as an 8-byte count followed by
+//! their elements, and `Option` as a 0/1 tag byte followed by the value.
+//! It is versioned by [`crate::STORE_FORMAT_VERSION`]: any layout change
+//! must bump that constant, which rotates the on-disk directory instead of
+//! attempting migration. The `encoding_is_pinned` test holds FNV-1a
+//! digests of a fixed set of encoded values, so a layout change cannot
+//! slip through without that bump.
 //!
 //! Every decoder returns `Option`: a short buffer, an invalid enum tag, an
 //! implausible length, or malformed UTF-8 yields `None`, which the store
@@ -17,7 +28,6 @@ use std::sync::Arc;
 use mondrian_core::{OperatorKind, PartitionSpec, PhaseOutcome, Report, StreamInfo, SystemKind};
 use mondrian_energy::EnergyBreakdown;
 use mondrian_noc::{MeshStats, SerDesStats};
-use mondrian_ops::reference::JoinRow;
 use mondrian_ops::{Aggregates, OpOutput};
 use mondrian_pipeline::{
     BranchSchedule, BuildSide, Concurrency, FusedEdge, PipelineReport, PlanReport,
@@ -27,51 +37,38 @@ use mondrian_pipeline::{
 use mondrian_sim::{Stat, Stats};
 use mondrian_workloads::Tuple;
 
+/// A persisted type: how one value is written and read back.
+pub(crate) trait Codec {
+    /// The fewest bytes one encoded value takes. A decoded count is
+    /// bounded by the bytes left, so a corrupted count fails the decode
+    /// instead of attempting a huge allocation.
+    const MIN_BYTES: usize;
+
+    /// Appends the value's bytes.
+    fn enc(&self, e: &mut Enc);
+
+    /// Reads one value; `None` on any corruption.
+    fn dec(d: &mut Dec) -> Option<Self>
+    where
+        Self: Sized;
+}
+
 /// Byte sink for the encoders.
+#[derive(Default)]
 pub(crate) struct Enc {
-    buf: Vec<u8>,
+    pub(crate) buf: Vec<u8>,
 }
 
 impl Enc {
-    pub(crate) fn new() -> Enc {
-        Enc { buf: Vec::new() }
+    /// Bytes as they are, with no count.
+    pub(crate) fn raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
     }
 
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-
-    fn str(&mut self, v: &str) {
-        self.usize(v.len());
-        self.buf.extend_from_slice(v.as_bytes());
+    /// A count-prefixed byte string.
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
+        bytes.len().enc(self);
+        self.raw(bytes);
     }
 }
 
@@ -91,856 +88,441 @@ impl<'a> Dec<'a> {
         self.pos == self.buf.len()
     }
 
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+    /// The next `n` bytes, borrowed from the buffer.
+    pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..end];
+        let s = self.buf.get(self.pos..end)?;
         self.pos = end;
         Some(s)
     }
 
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
+    /// A count-prefixed byte string, borrowed from the buffer.
+    pub(crate) fn bytes(&mut self) -> Option<&'a [u8]> {
+        let n = usize::dec(self)?;
+        self.take(n)
     }
 
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
+    /// A count of elements of at least `min_bytes` each, sanity-bounded
+    /// by the remaining bytes.
+    fn count(&mut self, min_bytes: usize) -> Option<usize> {
+        let n = usize::dec(self)?;
+        (n.checked_mul(min_bytes.max(1))? <= self.buf.len() - self.pos).then_some(n)
     }
+}
 
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
+/// Encodes one value.
+pub(crate) fn encode<T: Codec + ?Sized>(value: &T) -> Vec<u8> {
+    let mut e = Enc::default();
+    value.enc(&mut e);
+    e.buf
+}
+
+/// Decodes one value that fills `buf` exactly; `None` on any corruption.
+pub(crate) fn decode<T: Codec>(buf: &[u8]) -> Option<T> {
+    let mut d = Dec::new(buf);
+    let value = T::dec(&mut d)?;
+    d.done().then_some(value)
+}
+
+macro_rules! le_ints {
+    ($($t:ty),*) => {$(
+        impl Codec for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+            fn enc(&self, e: &mut Enc) {
+                e.raw(&self.to_le_bytes());
+            }
+            fn dec(d: &mut Dec) -> Option<Self> {
+                Some(<$t>::from_le_bytes(d.take(Self::MIN_BYTES)?.try_into().ok()?))
+            }
+        }
+    )*};
+}
+
+le_ints!(u8, u32, u64, u128);
+
+impl Codec for usize {
+    const MIN_BYTES: usize = 8;
+    fn enc(&self, e: &mut Enc) {
+        (*self as u64).enc(e);
     }
-
-    fn u128(&mut self) -> Option<u128> {
-        Some(u128::from_le_bytes(self.take(16)?.try_into().ok()?))
+    fn dec(d: &mut Dec) -> Option<Self> {
+        usize::try_from(u64::dec(d)?).ok()
     }
+}
 
-    fn usize(&mut self) -> Option<usize> {
-        usize::try_from(self.u64()?).ok()
+impl Codec for f64 {
+    const MIN_BYTES: usize = 8;
+    fn enc(&self, e: &mut Enc) {
+        self.to_bits().enc(e);
     }
-
-    fn f64(&mut self) -> Option<f64> {
-        Some(f64::from_bits(self.u64()?))
+    fn dec(d: &mut Dec) -> Option<Self> {
+        Some(f64::from_bits(u64::dec(d)?))
     }
+}
 
-    fn bool(&mut self) -> Option<bool> {
-        match self.u8()? {
+impl Codec for bool {
+    const MIN_BYTES: usize = 1;
+    fn enc(&self, e: &mut Enc) {
+        u8::from(*self).enc(e);
+    }
+    fn dec(d: &mut Dec) -> Option<Self> {
+        match u8::dec(d)? {
             0 => Some(false),
             1 => Some(true),
             _ => None,
         }
     }
+}
 
-    fn str(&mut self) -> Option<String> {
-        let len = self.len(1)?;
-        String::from_utf8(self.take(len)?.to_vec()).ok()
+impl Codec for String {
+    const MIN_BYTES: usize = 8;
+    fn enc(&self, e: &mut Enc) {
+        e.bytes(self.as_bytes());
     }
-
-    /// A length prefix, sanity-bounded by the remaining bytes: a corrupted
-    /// length field must fail the decode, not attempt a huge allocation.
-    fn len(&mut self, min_elem_bytes: usize) -> Option<usize> {
-        let n = self.usize()?;
-        let remaining = self.buf.len() - self.pos;
-        if n.checked_mul(min_elem_bytes.max(1))? > remaining {
-            return None;
-        }
-        Some(n)
+    fn dec(d: &mut Dec) -> Option<Self> {
+        String::from_utf8(d.bytes()?.to_vec()).ok()
     }
 }
 
-fn w_tuple(e: &mut Enc, t: &Tuple) {
-    e.u64(t.key);
-    e.u64(t.payload);
-}
-
-fn r_tuple(d: &mut Dec) -> Option<Tuple> {
-    Some(Tuple { key: d.u64()?, payload: d.u64()? })
-}
-
-fn w_tuples(e: &mut Enc, rel: &[Tuple]) {
-    e.usize(rel.len());
-    for t in rel {
-        w_tuple(e, t);
-    }
-}
-
-fn r_tuples(d: &mut Dec) -> Option<Vec<Tuple>> {
-    let n = d.len(16)?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(r_tuple(d)?);
-    }
-    Some(v)
-}
-
-fn w_system(e: &mut Enc, s: SystemKind) {
-    e.u8(match s {
-        SystemKind::Cpu => 0,
-        SystemKind::Nmp => 1,
-        SystemKind::NmpPerm => 2,
-        SystemKind::NmpRand => 3,
-        SystemKind::NmpSeq => 4,
-        SystemKind::MondrianNoperm => 5,
-        SystemKind::Mondrian => 6,
-    });
-}
-
-fn r_system(d: &mut Dec) -> Option<SystemKind> {
-    Some(match d.u8()? {
-        0 => SystemKind::Cpu,
-        1 => SystemKind::Nmp,
-        2 => SystemKind::NmpPerm,
-        3 => SystemKind::NmpRand,
-        4 => SystemKind::NmpSeq,
-        5 => SystemKind::MondrianNoperm,
-        6 => SystemKind::Mondrian,
-        _ => return None,
-    })
-}
-
-fn w_op_kind(e: &mut Enc, op: OperatorKind) {
-    e.u8(match op {
-        OperatorKind::Scan => 0,
-        OperatorKind::Join => 1,
-        OperatorKind::GroupBy => 2,
-        OperatorKind::Sort => 3,
-        OperatorKind::Union => 4,
-        OperatorKind::Cogroup => 5,
-        OperatorKind::FlatMap => 6,
-    });
-}
-
-fn r_op_kind(d: &mut Dec) -> Option<OperatorKind> {
-    Some(match d.u8()? {
-        0 => OperatorKind::Scan,
-        1 => OperatorKind::Join,
-        2 => OperatorKind::GroupBy,
-        3 => OperatorKind::Sort,
-        4 => OperatorKind::Union,
-        5 => OperatorKind::Cogroup,
-        6 => OperatorKind::FlatMap,
-        _ => return None,
-    })
-}
-
-fn w_concurrency(e: &mut Enc, c: Concurrency) {
-    e.u8(match c {
-        Concurrency::Serial => 0,
-        Concurrency::Branch => 1,
-        Concurrency::Stream => 2,
-        Concurrency::Auto => 3,
-    });
-}
-
-fn r_concurrency(d: &mut Dec) -> Option<Concurrency> {
-    Some(match d.u8()? {
-        0 => Concurrency::Serial,
-        1 => Concurrency::Branch,
-        2 => Concurrency::Stream,
-        3 => Concurrency::Auto,
-        _ => return None,
-    })
-}
-
-fn w_stage_input(e: &mut Enc, i: StageInput) {
-    match i {
-        StageInput::Prev => e.u8(0),
-        StageInput::Source => e.u8(1),
-        StageInput::Stage(j) => {
-            e.u8(2);
-            e.usize(j);
+/// Encode-only: a slice decodes as a `Vec<T>` or an `Arc<[T]>`.
+impl<T: Codec> Codec for [T] {
+    const MIN_BYTES: usize = 8;
+    fn enc(&self, e: &mut Enc) {
+        self.len().enc(e);
+        for v in self {
+            v.enc(e);
         }
     }
 }
 
-fn r_stage_input(d: &mut Dec) -> Option<StageInput> {
-    Some(match d.u8()? {
-        0 => StageInput::Prev,
-        1 => StageInput::Source,
-        2 => StageInput::Stage(d.usize()?),
-        _ => return None,
-    })
+impl<T: Codec> Codec for Vec<T> {
+    const MIN_BYTES: usize = 8;
+    fn enc(&self, e: &mut Enc) {
+        self.as_slice().enc(e);
+    }
+    fn dec(d: &mut Dec) -> Option<Self> {
+        let n = d.count(T::MIN_BYTES)?;
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(T::dec(d)?);
+        }
+        Some(v)
+    }
 }
 
-fn w_stage_spec(e: &mut Enc, s: &StageSpec) {
-    match *s {
-        StageSpec::Filter { modulus, remainder } => {
-            e.u8(0);
-            e.u64(modulus);
-            e.u64(remainder);
-        }
-        StageSpec::LookupKey { key } => {
-            e.u8(1);
-            e.u64(key);
-        }
-        StageSpec::Map { key_mul, key_add } => {
-            e.u8(2);
-            e.u64(key_mul);
-            e.u64(key_add);
-        }
-        StageSpec::MapValues { mul, add } => {
-            e.u8(3);
-            e.u64(mul);
-            e.u64(add);
-        }
-        StageSpec::Union => e.u8(4),
-        StageSpec::FlatMap { fanout } => {
-            e.u8(5);
-            e.u64(fanout);
-        }
-        StageSpec::Cogroup => e.u8(6),
-        StageSpec::GroupByKey => e.u8(7),
-        StageSpec::ReduceByKey => e.u8(8),
-        StageSpec::CountByKey => e.u8(9),
-        StageSpec::AggregateByKey => e.u8(10),
-        StageSpec::SortByKey => e.u8(11),
-        StageSpec::Join { build } => {
-            e.u8(12);
-            match build {
-                BuildSide::Dimension => e.u8(0),
-                BuildSide::Stage(j) => {
-                    e.u8(1);
-                    e.usize(j);
-                }
+impl<T: Codec> Codec for Arc<[T]> {
+    const MIN_BYTES: usize = 8;
+    fn enc(&self, e: &mut Enc) {
+        (**self).enc(e);
+    }
+    fn dec(d: &mut Dec) -> Option<Self> {
+        Vec::dec(d).map(Arc::from)
+    }
+}
+
+impl<T: Codec> Codec for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn enc(&self, e: &mut Enc) {
+        match self {
+            None => 0u8.enc(e),
+            Some(v) => {
+                1u8.enc(e);
+                v.enc(e);
             }
         }
     }
-}
-
-fn r_stage_spec(d: &mut Dec) -> Option<StageSpec> {
-    Some(match d.u8()? {
-        0 => StageSpec::Filter { modulus: d.u64()?, remainder: d.u64()? },
-        1 => StageSpec::LookupKey { key: d.u64()? },
-        2 => StageSpec::Map { key_mul: d.u64()?, key_add: d.u64()? },
-        3 => StageSpec::MapValues { mul: d.u64()?, add: d.u64()? },
-        4 => StageSpec::Union,
-        5 => StageSpec::FlatMap { fanout: d.u64()? },
-        6 => StageSpec::Cogroup,
-        7 => StageSpec::GroupByKey,
-        8 => StageSpec::ReduceByKey,
-        9 => StageSpec::CountByKey,
-        10 => StageSpec::AggregateByKey,
-        11 => StageSpec::SortByKey,
-        12 => StageSpec::Join {
-            build: match d.u8()? {
-                0 => BuildSide::Dimension,
-                1 => BuildSide::Stage(d.usize()?),
-                _ => return None,
-            },
-        },
-        _ => return None,
-    })
-}
-
-fn w_phase(e: &mut Enc, p: &PhaseOutcome) {
-    e.str(&p.label);
-    e.u64(p.start);
-    e.u64(p.end);
-    e.u64(p.instructions);
-    e.u64(p.simd_ops);
-    e.usize(p.core_busy.len());
-    for &b in &p.core_busy {
-        e.f64(b);
-    }
-    e.u64(p.overflows);
-    e.u64(p.events);
-}
-
-fn r_phase(d: &mut Dec) -> Option<PhaseOutcome> {
-    let label = d.str()?;
-    let start = d.u64()?;
-    let end = d.u64()?;
-    let instructions = d.u64()?;
-    let simd_ops = d.u64()?;
-    let n = d.len(8)?;
-    let mut core_busy = Vec::with_capacity(n);
-    for _ in 0..n {
-        core_busy.push(d.f64()?);
-    }
-    Some(PhaseOutcome {
-        label,
-        start,
-        end,
-        instructions,
-        simd_ops,
-        core_busy,
-        overflows: d.u64()?,
-        events: d.u64()?,
-    })
-}
-
-fn w_energy(e: &mut Enc, b: &EnergyBreakdown) {
-    e.f64(b.cores_j);
-    e.f64(b.llc_j);
-    e.f64(b.dram_dynamic_j);
-    e.f64(b.dram_static_j);
-    e.f64(b.serdes_j);
-    e.f64(b.noc_j);
-}
-
-fn r_energy(d: &mut Dec) -> Option<EnergyBreakdown> {
-    Some(EnergyBreakdown {
-        cores_j: d.f64()?,
-        llc_j: d.f64()?,
-        dram_dynamic_j: d.f64()?,
-        dram_static_j: d.f64()?,
-        serdes_j: d.f64()?,
-        noc_j: d.f64()?,
-    })
-}
-
-fn w_stats(e: &mut Enc, s: &Stats) {
-    e.usize(s.len());
-    for (k, stat) in s.iter() {
-        e.str(k);
-        match stat {
-            Stat::Count(c) => {
-                e.u8(0);
-                e.u64(c);
-            }
-            Stat::Value(v) => {
-                e.u8(1);
-                e.f64(v);
-            }
+    fn dec(d: &mut Dec) -> Option<Self> {
+        match u8::dec(d)? {
+            0 => Some(None),
+            1 => Some(Some(T::dec(d)?)),
+            _ => None,
         }
     }
 }
 
-/// The pairs arrive in key order, so they collect into the registry in
-/// one pass; a key is never copied or searched for twice.
-fn r_stats(d: &mut Dec) -> Option<Stats> {
-    let n = d.len(17)?;
-    (0..n)
-        .map(|_| {
-            let key = d.str()?;
-            let stat = match d.u8()? {
-                0 => Stat::Count(d.u64()?),
-                1 => Stat::Value(d.f64()?),
-                _ => return None,
-            };
-            Some((key, stat))
+impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
+    const MIN_BYTES: usize = 8;
+    fn enc(&self, e: &mut Enc) {
+        self.len().enc(e);
+        for (k, v) in self {
+            k.enc(e);
+            v.enc(e);
+        }
+    }
+    fn dec(d: &mut Dec) -> Option<Self> {
+        let n = d.count(K::MIN_BYTES + V::MIN_BYTES)?;
+        let mut map = BTreeMap::new();
+        for _ in 0..n {
+            let k = K::dec(d)?;
+            map.insert(k, V::dec(d)?);
+        }
+        Some(map)
+    }
+}
+
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+    fn enc(&self, e: &mut Enc) {
+        self.0.enc(e);
+        self.1.enc(e);
+    }
+    fn dec(d: &mut Dec) -> Option<Self> {
+        Some((A::dec(d)?, B::dec(d)?))
+    }
+}
+
+impl<A: Codec, B: Codec, C: Codec> Codec for (A, B, C) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES + C::MIN_BYTES;
+    fn enc(&self, e: &mut Enc) {
+        self.0.enc(e);
+        self.1.enc(e);
+        self.2.enc(e);
+    }
+    fn dec(d: &mut Dec) -> Option<Self> {
+        Some((A::dec(d)?, B::dec(d)?, C::dec(d)?))
+    }
+}
+
+/// A struct's layout: its fields, each once, in encoding order.
+macro_rules! record {
+    ($($ty:ident { $($field:ident: $ft:ty),* $(,)? })*) => {$(
+        impl Codec for $ty {
+            const MIN_BYTES: usize = 0 $(+ <$ft as Codec>::MIN_BYTES)*;
+            fn enc(&self, e: &mut Enc) {
+                $(<$ft as Codec>::enc(&self.$field, e);)*
+            }
+            fn dec(d: &mut Dec) -> Option<Self> {
+                Some($ty { $($field: <$ft as Codec>::dec(d)?),* })
+            }
+        }
+    )*};
+}
+
+/// A fieldless enum's layout: one tag byte per variant.
+macro_rules! tags {
+    ($($ty:ident { $($tag:literal => $variant:ident),* $(,)? })*) => {$(
+        impl Codec for $ty {
+            const MIN_BYTES: usize = 1;
+            fn enc(&self, e: &mut Enc) {
+                let tag: u8 = match self { $($ty::$variant => $tag),* };
+                tag.enc(e);
+            }
+            fn dec(d: &mut Dec) -> Option<Self> {
+                Some(match u8::dec(d)? { $($tag => $ty::$variant,)* _ => return None })
+            }
+        }
+    )*};
+}
+
+tags! {
+    SystemKind {
+        0 => Cpu, 1 => Nmp, 2 => NmpPerm, 3 => NmpRand, 4 => NmpSeq, 5 => MondrianNoperm,
+        6 => Mondrian,
+    }
+    OperatorKind {
+        0 => Scan, 1 => Join, 2 => GroupBy, 3 => Sort, 4 => Union, 5 => Cogroup, 6 => FlatMap,
+    }
+    Concurrency { 0 => Serial, 1 => Branch, 2 => Stream, 3 => Auto }
+}
+
+record! {
+    Tuple { key: u64, payload: u64 }
+    PhaseOutcome {
+        label: String, start: u64, end: u64, instructions: u64, simd_ops: u64,
+        core_busy: Vec<f64>, overflows: u64, events: u64,
+    }
+    EnergyBreakdown {
+        cores_j: f64, llc_j: f64, dram_dynamic_j: f64, dram_static_j: f64, serdes_j: f64,
+        noc_j: f64,
+    }
+    MeshStats { messages: u64, hops: u64, bit_mm: f64, busy_time: u64 }
+    SerDesStats { packets: u64, busy_bits: u64, busy_time: u64 }
+    PartitionSpec { index: u32, first_vault: u32, vaults: u32, total_vaults: u32 }
+    Aggregates { count: u64, sum: u64, sum_sq: u128, min: u64, max: u64 }
+    StreamInfo { chunks: usize, chunk_partition_ps: Vec<u64> }
+    Report {
+        op: OperatorKind, system: SystemKind, phases: Vec<PhaseOutcome>, runtime_ps: u64,
+        instructions: u64, energy: EnergyBreakdown, stats: Stats, verified: bool,
+        shuffle_retries: u32, summary: String, output: OpOutput, partition: PartitionSpec,
+        mesh_totals: MeshStats, serdes_totals: SerDesStats, stream: Option<StreamInfo>,
+    }
+    StageOutcome {
+        spec: StageSpec, inputs: Vec<StageInput>, wave: usize, branch: usize, concurrent: bool,
+        streamed: bool, serial_runtime_ps: u64, matches_serial: bool, output_digest: u64,
+        input_rows: usize, output_rows: usize, reference_ok: bool, report: Report,
+    }
+    BranchSchedule {
+        branch: usize, stages: Vec<usize>, first_vault: u32, vaults: u32, runtime_ps: u64,
+        critical: bool, mesh: MeshStats,
+    }
+    WaveReport {
+        wave: usize, concurrent: bool, runtime_ps: u64, serial_runtime_ps: u64,
+        branches: Vec<BranchSchedule>, serdes: SerDesStats,
+    }
+    FusedEdge {
+        producer: usize, consumer: usize, chunks: usize, streamed: bool, streamed_ps: u64,
+        unfused_ps: u64,
+    }
+    PlannedLease { branch: usize, first_vault: u32, vaults: u32 }
+    PlannedWaveReport { wave: usize, leases: Vec<PlannedLease> }
+    PlannedEdgeReport { producer: usize, consumer: usize, chunks: usize }
+    PlanReport {
+        stage_predicted_ps: Vec<u64>, predicted_makespan_ps: u64, planner_won: bool,
+        waves: Vec<PlannedWaveReport>, edges: Vec<PlannedEdgeReport>,
+    }
+    ScheduleReport {
+        mode: Concurrency, waves: Vec<WaveReport>, fused: Vec<FusedEdge>, makespan_ps: u64,
+    }
+    PipelineReport {
+        system: SystemKind, source_rows: usize, stages: Vec<StageOutcome>,
+        schedule: ScheduleReport, planned: Option<PlanReport>, output: Vec<Tuple>,
+    }
+    StageEntry { input_rows: usize, reference_ok: bool, report: Report, projected: Arc<[Tuple]> }
+}
+
+impl Codec for StageInput {
+    const MIN_BYTES: usize = 1;
+    fn enc(&self, e: &mut Enc) {
+        match *self {
+            StageInput::Prev => 0u8.enc(e),
+            StageInput::Source => 1u8.enc(e),
+            StageInput::Stage(j) => (2u8, j).enc(e),
+        }
+    }
+    fn dec(d: &mut Dec) -> Option<Self> {
+        Some(match u8::dec(d)? {
+            0 => StageInput::Prev,
+            1 => StageInput::Source,
+            2 => StageInput::Stage(usize::dec(d)?),
+            _ => return None,
         })
-        .collect()
+    }
 }
 
-fn w_mesh(e: &mut Enc, m: &MeshStats) {
-    e.u64(m.messages);
-    e.u64(m.hops);
-    e.f64(m.bit_mm);
-    e.u64(m.busy_time);
-}
-
-fn r_mesh(d: &mut Dec) -> Option<MeshStats> {
-    Some(MeshStats { messages: d.u64()?, hops: d.u64()?, bit_mm: d.f64()?, busy_time: d.u64()? })
-}
-
-fn w_serdes(e: &mut Enc, s: &SerDesStats) {
-    e.u64(s.packets);
-    e.u64(s.busy_bits);
-    e.u64(s.busy_time);
-}
-
-fn r_serdes(d: &mut Dec) -> Option<SerDesStats> {
-    Some(SerDesStats { packets: d.u64()?, busy_bits: d.u64()?, busy_time: d.u64()? })
-}
-
-fn w_partition(e: &mut Enc, p: &PartitionSpec) {
-    e.u32(p.index);
-    e.u32(p.first_vault);
-    e.u32(p.vaults);
-    e.u32(p.total_vaults);
-}
-
-fn r_partition(d: &mut Dec) -> Option<PartitionSpec> {
-    Some(PartitionSpec {
-        index: d.u32()?,
-        first_vault: d.u32()?,
-        vaults: d.u32()?,
-        total_vaults: d.u32()?,
-    })
-}
-
-fn w_aggregates(e: &mut Enc, a: &Aggregates) {
-    e.u64(a.count);
-    e.u64(a.sum);
-    e.u128(a.sum_sq);
-    e.u64(a.min);
-    e.u64(a.max);
-}
-
-fn r_aggregates(d: &mut Dec) -> Option<Aggregates> {
-    Some(Aggregates {
-        count: d.u64()?,
-        sum: d.u64()?,
-        sum_sq: d.u128()?,
-        min: d.u64()?,
-        max: d.u64()?,
-    })
-}
-
-fn w_op_output(e: &mut Enc, o: &OpOutput) {
-    match o {
-        OpOutput::Tuples(rel) => {
-            e.u8(0);
-            w_tuples(e, rel);
+impl Codec for StageSpec {
+    const MIN_BYTES: usize = 1;
+    fn enc(&self, e: &mut Enc) {
+        match *self {
+            StageSpec::Filter { modulus, remainder } => (0u8, modulus, remainder).enc(e),
+            StageSpec::LookupKey { key } => (1u8, key).enc(e),
+            StageSpec::Map { key_mul, key_add } => (2u8, key_mul, key_add).enc(e),
+            StageSpec::MapValues { mul, add } => (3u8, mul, add).enc(e),
+            StageSpec::Union => 4u8.enc(e),
+            StageSpec::FlatMap { fanout } => (5u8, fanout).enc(e),
+            StageSpec::Cogroup => 6u8.enc(e),
+            StageSpec::GroupByKey => 7u8.enc(e),
+            StageSpec::ReduceByKey => 8u8.enc(e),
+            StageSpec::CountByKey => 9u8.enc(e),
+            StageSpec::AggregateByKey => 10u8.enc(e),
+            StageSpec::SortByKey => 11u8.enc(e),
+            StageSpec::Join { build: BuildSide::Dimension } => (12u8, 0u8).enc(e),
+            StageSpec::Join { build: BuildSide::Stage(j) } => (12u8, 1u8, j).enc(e),
         }
-        OpOutput::Expanded { tuples, fanout } => {
-            e.u8(1);
-            w_tuples(e, tuples);
-            e.u64(*fanout);
-        }
-        OpOutput::Groups(groups) => {
-            e.u8(2);
-            e.usize(groups.len());
-            for (&k, a) in groups {
-                e.u64(k);
-                w_aggregates(e, a);
+    }
+    fn dec(d: &mut Dec) -> Option<Self> {
+        Some(match u8::dec(d)? {
+            0 => StageSpec::Filter { modulus: u64::dec(d)?, remainder: u64::dec(d)? },
+            1 => StageSpec::LookupKey { key: u64::dec(d)? },
+            2 => StageSpec::Map { key_mul: u64::dec(d)?, key_add: u64::dec(d)? },
+            3 => StageSpec::MapValues { mul: u64::dec(d)?, add: u64::dec(d)? },
+            4 => StageSpec::Union,
+            5 => StageSpec::FlatMap { fanout: u64::dec(d)? },
+            6 => StageSpec::Cogroup,
+            7 => StageSpec::GroupByKey,
+            8 => StageSpec::ReduceByKey,
+            9 => StageSpec::CountByKey,
+            10 => StageSpec::AggregateByKey,
+            11 => StageSpec::SortByKey,
+            12 => StageSpec::Join {
+                build: match u8::dec(d)? {
+                    0 => BuildSide::Dimension,
+                    1 => BuildSide::Stage(usize::dec(d)?),
+                    _ => return None,
+                },
+            },
+            _ => return None,
+        })
+    }
+}
+
+impl Codec for OpOutput {
+    const MIN_BYTES: usize = 1;
+    fn enc(&self, e: &mut Enc) {
+        match self {
+            OpOutput::Tuples(rel) => {
+                0u8.enc(e);
+                rel.enc(e);
             }
-        }
-        OpOutput::CoGroups(groups) => {
-            e.u8(3);
-            e.usize(groups.len());
-            for (&k, (a, b)) in groups {
-                e.u64(k);
-                w_aggregates(e, a);
-                w_aggregates(e, b);
+            OpOutput::Expanded { tuples, fanout } => {
+                1u8.enc(e);
+                tuples.enc(e);
+                fanout.enc(e);
             }
-        }
-        OpOutput::Rows(rows) => {
-            e.u8(4);
-            e.usize(rows.len());
-            for &(k, r, s) in rows {
-                e.u64(k);
-                e.u64(r);
-                e.u64(s);
+            OpOutput::Groups(groups) => {
+                2u8.enc(e);
+                groups.enc(e);
+            }
+            OpOutput::CoGroups(groups) => {
+                3u8.enc(e);
+                groups.enc(e);
+            }
+            OpOutput::Rows(rows) => {
+                4u8.enc(e);
+                rows.enc(e);
             }
         }
     }
+    fn dec(d: &mut Dec) -> Option<Self> {
+        Some(match u8::dec(d)? {
+            0 => OpOutput::Tuples(Vec::dec(d)?),
+            1 => OpOutput::Expanded { tuples: Vec::dec(d)?, fanout: u64::dec(d)? },
+            2 => OpOutput::Groups(BTreeMap::dec(d)?),
+            3 => OpOutput::CoGroups(BTreeMap::dec(d)?),
+            4 => OpOutput::Rows(Vec::dec(d)?),
+            _ => return None,
+        })
+    }
 }
 
-fn r_op_output(d: &mut Dec) -> Option<OpOutput> {
-    Some(match d.u8()? {
-        0 => OpOutput::Tuples(r_tuples(d)?),
-        1 => OpOutput::Expanded { tuples: r_tuples(d)?, fanout: d.u64()? },
-        2 => {
-            let n = d.len(48)?;
-            let mut groups = BTreeMap::new();
-            for _ in 0..n {
-                let k = d.u64()?;
-                groups.insert(k, r_aggregates(d)?);
-            }
-            OpOutput::Groups(groups)
+impl Codec for Stat {
+    const MIN_BYTES: usize = 9;
+    fn enc(&self, e: &mut Enc) {
+        match *self {
+            Stat::Count(c) => (0u8, c).enc(e),
+            Stat::Value(v) => (1u8, v).enc(e),
         }
-        3 => {
-            let n = d.len(88)?;
-            let mut groups = BTreeMap::new();
-            for _ in 0..n {
-                let k = d.u64()?;
-                let a = r_aggregates(d)?;
-                let b = r_aggregates(d)?;
-                groups.insert(k, (a, b));
-            }
-            OpOutput::CoGroups(groups)
-        }
-        4 => {
-            let n = d.len(24)?;
-            let mut rows: Vec<JoinRow> = Vec::with_capacity(n);
-            for _ in 0..n {
-                rows.push((d.u64()?, d.u64()?, d.u64()?));
-            }
-            OpOutput::Rows(rows)
-        }
-        _ => return None,
-    })
-}
-
-fn w_stream_info(e: &mut Enc, s: &Option<StreamInfo>) {
-    match s {
-        None => e.u8(0),
-        Some(info) => {
-            e.u8(1);
-            e.usize(info.chunks);
-            e.usize(info.chunk_partition_ps.len());
-            for &t in &info.chunk_partition_ps {
-                e.u64(t);
-            }
+    }
+    fn dec(d: &mut Dec) -> Option<Self> {
+        match u8::dec(d)? {
+            0 => Some(Stat::Count(u64::dec(d)?)),
+            1 => Some(Stat::Value(f64::dec(d)?)),
+            _ => None,
         }
     }
 }
 
-fn r_stream_info(d: &mut Dec) -> Option<Option<StreamInfo>> {
-    Some(match d.u8()? {
-        0 => None,
-        1 => {
-            let chunks = d.usize()?;
-            let n = d.len(8)?;
-            let mut chunk_partition_ps = Vec::with_capacity(n);
-            for _ in 0..n {
-                chunk_partition_ps.push(d.u64()?);
-            }
-            Some(StreamInfo { chunks, chunk_partition_ps })
-        }
-        _ => return None,
-    })
-}
-
-fn w_report(e: &mut Enc, r: &Report) {
-    w_op_kind(e, r.op);
-    w_system(e, r.system);
-    e.usize(r.phases.len());
-    for p in &r.phases {
-        w_phase(e, p);
-    }
-    e.u64(r.runtime_ps);
-    e.u64(r.instructions);
-    w_energy(e, &r.energy);
-    w_stats(e, &r.stats);
-    e.bool(r.verified);
-    e.u32(r.shuffle_retries);
-    e.str(&r.summary);
-    w_op_output(e, &r.output);
-    w_partition(e, &r.partition);
-    w_mesh(e, &r.mesh_totals);
-    w_serdes(e, &r.serdes_totals);
-    w_stream_info(e, &r.stream);
-}
-
-fn r_report(d: &mut Dec) -> Option<Report> {
-    let op = r_op_kind(d)?;
-    let system = r_system(d)?;
-    let n = d.len(1)?;
-    let mut phases = Vec::with_capacity(n);
-    for _ in 0..n {
-        phases.push(r_phase(d)?);
-    }
-    Some(Report {
-        op,
-        system,
-        phases,
-        runtime_ps: d.u64()?,
-        instructions: d.u64()?,
-        energy: r_energy(d)?,
-        stats: r_stats(d)?,
-        verified: d.bool()?,
-        shuffle_retries: d.u32()?,
-        summary: d.str()?,
-        output: r_op_output(d)?,
-        partition: r_partition(d)?,
-        mesh_totals: r_mesh(d)?,
-        serdes_totals: r_serdes(d)?,
-        stream: r_stream_info(d)?,
-    })
-}
-
-fn w_stage_outcome(e: &mut Enc, s: &StageOutcome) {
-    w_stage_spec(e, &s.spec);
-    e.usize(s.inputs.len());
-    for &i in &s.inputs {
-        w_stage_input(e, i);
-    }
-    e.usize(s.wave);
-    e.usize(s.branch);
-    e.bool(s.concurrent);
-    e.bool(s.streamed);
-    e.u64(s.serial_runtime_ps);
-    e.bool(s.matches_serial);
-    e.u64(s.output_digest);
-    e.usize(s.input_rows);
-    e.usize(s.output_rows);
-    e.bool(s.reference_ok);
-    w_report(e, &s.report);
-}
-
-fn r_stage_outcome(d: &mut Dec) -> Option<StageOutcome> {
-    let spec = r_stage_spec(d)?;
-    let n = d.len(1)?;
-    let mut inputs = Vec::with_capacity(n);
-    for _ in 0..n {
-        inputs.push(r_stage_input(d)?);
-    }
-    Some(StageOutcome {
-        spec,
-        inputs,
-        wave: d.usize()?,
-        branch: d.usize()?,
-        concurrent: d.bool()?,
-        streamed: d.bool()?,
-        serial_runtime_ps: d.u64()?,
-        matches_serial: d.bool()?,
-        output_digest: d.u64()?,
-        input_rows: d.usize()?,
-        output_rows: d.usize()?,
-        reference_ok: d.bool()?,
-        report: r_report(d)?,
-    })
-}
-
-fn w_branch(e: &mut Enc, b: &BranchSchedule) {
-    e.usize(b.branch);
-    e.usize(b.stages.len());
-    for &s in &b.stages {
-        e.usize(s);
-    }
-    e.u32(b.first_vault);
-    e.u32(b.vaults);
-    e.u64(b.runtime_ps);
-    e.bool(b.critical);
-    w_mesh(e, &b.mesh);
-}
-
-fn r_branch(d: &mut Dec) -> Option<BranchSchedule> {
-    let branch = d.usize()?;
-    let n = d.len(8)?;
-    let mut stages = Vec::with_capacity(n);
-    for _ in 0..n {
-        stages.push(d.usize()?);
-    }
-    Some(BranchSchedule {
-        branch,
-        stages,
-        first_vault: d.u32()?,
-        vaults: d.u32()?,
-        runtime_ps: d.u64()?,
-        critical: d.bool()?,
-        mesh: r_mesh(d)?,
-    })
-}
-
-fn w_wave(e: &mut Enc, w: &WaveReport) {
-    e.usize(w.wave);
-    e.bool(w.concurrent);
-    e.u64(w.runtime_ps);
-    e.u64(w.serial_runtime_ps);
-    e.usize(w.branches.len());
-    for b in &w.branches {
-        w_branch(e, b);
-    }
-    w_serdes(e, &w.serdes);
-}
-
-fn r_wave(d: &mut Dec) -> Option<WaveReport> {
-    let wave = d.usize()?;
-    let concurrent = d.bool()?;
-    let runtime_ps = d.u64()?;
-    let serial_runtime_ps = d.u64()?;
-    let n = d.len(1)?;
-    let mut branches = Vec::with_capacity(n);
-    for _ in 0..n {
-        branches.push(r_branch(d)?);
-    }
-    Some(WaveReport {
-        wave,
-        concurrent,
-        runtime_ps,
-        serial_runtime_ps,
-        branches,
-        serdes: r_serdes(d)?,
-    })
-}
-
-fn w_fused(e: &mut Enc, f: &FusedEdge) {
-    e.usize(f.producer);
-    e.usize(f.consumer);
-    e.usize(f.chunks);
-    e.bool(f.streamed);
-    e.u64(f.streamed_ps);
-    e.u64(f.unfused_ps);
-}
-
-fn r_fused(d: &mut Dec) -> Option<FusedEdge> {
-    Some(FusedEdge {
-        producer: d.usize()?,
-        consumer: d.usize()?,
-        chunks: d.usize()?,
-        streamed: d.bool()?,
-        streamed_ps: d.u64()?,
-        unfused_ps: d.u64()?,
-    })
-}
-
-fn w_planned(e: &mut Enc, p: &PlanReport) {
-    e.usize(p.stage_predicted_ps.len());
-    for &t in &p.stage_predicted_ps {
-        e.u64(t);
-    }
-    e.u64(p.predicted_makespan_ps);
-    e.bool(p.planner_won);
-    e.usize(p.waves.len());
-    for w in &p.waves {
-        e.usize(w.wave);
-        e.usize(w.leases.len());
-        for l in &w.leases {
-            e.usize(l.branch);
-            e.u32(l.first_vault);
-            e.u32(l.vaults);
+/// A count, then `(key, stat)` pairs in key order, so they collect into
+/// the registry in one pass; a key is never copied or searched for twice.
+impl Codec for Stats {
+    const MIN_BYTES: usize = 8;
+    fn enc(&self, e: &mut Enc) {
+        self.len().enc(e);
+        for (k, stat) in self.iter() {
+            e.bytes(k.as_bytes());
+            stat.enc(e);
         }
     }
-    e.usize(p.edges.len());
-    for edge in &p.edges {
-        e.usize(edge.producer);
-        e.usize(edge.consumer);
-        e.usize(edge.chunks);
+    fn dec(d: &mut Dec) -> Option<Self> {
+        let n = d.count(<(String, Stat)>::MIN_BYTES)?;
+        (0..n).map(|_| <(String, Stat)>::dec(d)).collect()
     }
-}
-
-fn r_planned(d: &mut Dec) -> Option<PlanReport> {
-    let n = d.len(8)?;
-    let mut stage_predicted_ps = Vec::with_capacity(n);
-    for _ in 0..n {
-        stage_predicted_ps.push(d.u64()?);
-    }
-    let predicted_makespan_ps = d.u64()?;
-    let planner_won = d.bool()?;
-    let n = d.len(1)?;
-    let mut waves = Vec::with_capacity(n);
-    for _ in 0..n {
-        let wave = d.usize()?;
-        let k = d.len(8)?;
-        let mut leases = Vec::with_capacity(k);
-        for _ in 0..k {
-            leases.push(PlannedLease {
-                branch: d.usize()?,
-                first_vault: d.u32()?,
-                vaults: d.u32()?,
-            });
-        }
-        waves.push(PlannedWaveReport { wave, leases });
-    }
-    let n = d.len(8)?;
-    let mut edges = Vec::with_capacity(n);
-    for _ in 0..n {
-        edges.push(PlannedEdgeReport {
-            producer: d.usize()?,
-            consumer: d.usize()?,
-            chunks: d.usize()?,
-        });
-    }
-    Some(PlanReport { stage_predicted_ps, predicted_makespan_ps, planner_won, waves, edges })
-}
-
-fn w_schedule(e: &mut Enc, s: &ScheduleReport) {
-    w_concurrency(e, s.mode);
-    e.usize(s.waves.len());
-    for w in &s.waves {
-        w_wave(e, w);
-    }
-    e.usize(s.fused.len());
-    for f in &s.fused {
-        w_fused(e, f);
-    }
-    e.u64(s.makespan_ps);
-}
-
-fn r_schedule(d: &mut Dec) -> Option<ScheduleReport> {
-    let mode = r_concurrency(d)?;
-    let n = d.len(1)?;
-    let mut waves = Vec::with_capacity(n);
-    for _ in 0..n {
-        waves.push(r_wave(d)?);
-    }
-    let n = d.len(1)?;
-    let mut fused = Vec::with_capacity(n);
-    for _ in 0..n {
-        fused.push(r_fused(d)?);
-    }
-    Some(ScheduleReport { mode, waves, fused, makespan_ps: d.u64()? })
-}
-
-/// Serializes a full-run [`PipelineReport`].
-pub(crate) fn encode_pipeline_report(r: &PipelineReport) -> Vec<u8> {
-    let mut e = Enc::new();
-    w_system(&mut e, r.system);
-    e.usize(r.source_rows);
-    e.usize(r.stages.len());
-    for s in &r.stages {
-        w_stage_outcome(&mut e, s);
-    }
-    w_schedule(&mut e, &r.schedule);
-    match &r.planned {
-        Some(p) => {
-            e.bool(true);
-            w_planned(&mut e, p);
-        }
-        None => e.bool(false),
-    }
-    w_tuples(&mut e, &r.output);
-    e.into_bytes()
-}
-
-/// Deserializes a full-run [`PipelineReport`]; `None` on any corruption.
-pub(crate) fn decode_pipeline_report(buf: &[u8]) -> Option<PipelineReport> {
-    let mut d = Dec::new(buf);
-    let system = r_system(&mut d)?;
-    let source_rows = d.usize()?;
-    let n = d.len(1)?;
-    let mut stages = Vec::with_capacity(n);
-    for _ in 0..n {
-        stages.push(r_stage_outcome(&mut d)?);
-    }
-    let schedule = r_schedule(&mut d)?;
-    let planned = if d.bool()? { Some(r_planned(&mut d)?) } else { None };
-    let output = r_tuples(&mut d)?;
-    if !d.done() {
-        return None;
-    }
-    Some(PipelineReport { system, source_rows, stages, schedule, planned, output })
-}
-
-/// Serializes a per-stage [`StageEntry`].
-pub(crate) fn encode_stage_entry(entry: &StageEntry) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.usize(entry.input_rows);
-    e.bool(entry.reference_ok);
-    w_report(&mut e, &entry.report);
-    w_tuples(&mut e, &entry.projected);
-    e.into_bytes()
-}
-
-/// Deserializes a per-stage [`StageEntry`]; `None` on any corruption.
-pub(crate) fn decode_stage_entry(buf: &[u8]) -> Option<StageEntry> {
-    let mut d = Dec::new(buf);
-    let input_rows = d.usize()?;
-    let reference_ok = d.bool()?;
-    let report = r_report(&mut d)?;
-    let projected: Arc<[Tuple]> = r_tuples(&mut d)?.into();
-    if !d.done() {
-        return None;
-    }
-    Some(StageEntry { input_rows, reference_ok, report, projected })
-}
-
-/// Serializes a reference-prefix relation.
-pub(crate) fn encode_rel(rel: &[Tuple]) -> Vec<u8> {
-    let mut e = Enc::new();
-    w_tuples(&mut e, rel);
-    e.into_bytes()
-}
-
-/// Deserializes a reference-prefix relation; `None` on any corruption.
-pub(crate) fn decode_rel(buf: &[u8]) -> Option<Arc<[Tuple]>> {
-    let mut d = Dec::new(buf);
-    let rel = r_tuples(&mut d)?;
-    if !d.done() {
-        return None;
-    }
-    Some(rel.into())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mondrian_core::ExperimentBuilder;
-
-    fn roundtrip(report: &Report) -> Option<Report> {
-        let mut e = Enc::new();
-        w_report(&mut e, report);
-        let bytes = e.into_bytes();
-        let mut d = Dec::new(&bytes);
-        let back = r_report(&mut d)?;
-        d.done().then_some(back)
-    }
+    use mondrian_pipeline::{fnv1a, Pipeline, PipelineConfig, Stage};
 
     #[test]
     fn per_device_stats_roundtrip_to_an_equal_registry() {
@@ -957,7 +539,7 @@ mod tests {
         report.stats.add_count("l1.p1.0.hits", 11);
         report.stats.add_value("mesh.at_v3.bit_mm", 1.5);
         report.stats.add_value("vault.9.util", 0.25);
-        let back = roundtrip(&report).expect("report decodes");
+        let back: Report = decode(&encode(&report)).expect("report decodes");
         assert_eq!(back.stats, report.stats);
         assert_eq!(format!("{back:?}"), format!("{report:?}"));
     }
@@ -966,13 +548,173 @@ mod tests {
     fn a_bad_stat_flavor_tag_fails_the_decode() {
         let mut stats = Stats::new();
         stats.add_count("vault.0.reads", 1);
-        let mut e = Enc::new();
-        w_stats(&mut e, &stats);
-        let mut bytes = e.into_bytes();
+        let mut bytes = encode(&stats);
         // Layout: count (8), key length (8), key, flavor tag, payload (8).
         let tag = 8 + 8 + "vault.0.reads".len();
-        assert_eq!(r_stats(&mut Dec::new(&bytes)), Some(stats));
+        assert_eq!(decode(&bytes), Some(stats));
         bytes[tag] = 2;
-        assert_eq!(r_stats(&mut Dec::new(&bytes)), None);
+        assert_eq!(decode::<Stats>(&bytes), None);
+    }
+
+    /// Records `value`'s encoding digest after checking that the bytes
+    /// decode back to an equal value.
+    fn pin<T: Codec + std::fmt::Debug>(pins: &mut Vec<(String, u64)>, name: String, value: &T) {
+        let bytes = encode(value);
+        let back: T = decode(&bytes).unwrap_or_else(|| panic!("{name} decodes"));
+        assert_eq!(format!("{back:?}"), format!("{value:?}"), "{name} round-trips");
+        pins.push((name, fnv1a(bytes)));
+    }
+
+    fn aggregates(n: u64) -> Aggregates {
+        Aggregates { count: n, sum: n * 3, sum_sq: u128::from(n) << 70, min: 1, max: n + 5 }
+    }
+
+    /// The persisted layout, pinned: FNV-1a digests of the encodings of a
+    /// small DAG's reports under every concurrency mode (a join with a
+    /// stage build side, flat_map, union, cogroup; `auto` carries its
+    /// plan), a stage entry holding a streamed report, and every
+    /// `OpOutput`, `StageSpec` and tag variant.
+    ///
+    /// A digest that changes is a change of the on-disk layout: bump
+    /// [`crate::STORE_FORMAT_VERSION`] with it, or existing stores decode
+    /// into the wrong fields. The reports come from the engine, so an
+    /// engine change that moves `engine_golden` moves their digests too;
+    /// only then may they be regenerated without a bump.
+    #[test]
+    fn encoding_is_pinned() {
+        let dag = Pipeline::from_stages(vec![
+            Stage::chained(StageSpec::Filter { modulus: 10, remainder: 0 }),
+            Stage::chained(StageSpec::FlatMap { fanout: 3 }),
+            Stage::with_input(StageSpec::Filter { modulus: 3, remainder: 1 }, StageInput::Source),
+            Stage::with_inputs(StageSpec::Union, vec![StageInput::Stage(1), StageInput::Stage(2)]),
+            Stage::with_inputs(
+                StageSpec::Cogroup,
+                vec![StageInput::Stage(1), StageInput::Stage(2)],
+            ),
+            Stage::with_input(StageSpec::SortByKey, StageInput::Stage(2)),
+            Stage::with_input(StageSpec::Join { build: BuildSide::Stage(5) }, StageInput::Stage(3)),
+            Stage::chained(StageSpec::GroupByKey),
+        ]);
+        let modes =
+            [Concurrency::Serial, Concurrency::Branch, Concurrency::Stream, Concurrency::Auto];
+        let mut pins = Vec::new();
+        let mut streamed = None;
+        for mode in modes {
+            let mut cfg = PipelineConfig::tiny(SystemKind::Mondrian);
+            cfg.tuples_per_vault = 32;
+            cfg.concurrency = mode;
+            let report = dag.run(&cfg);
+            assert!(report.verified());
+            assert_eq!(report.planned.is_some(), mode == Concurrency::Auto);
+            streamed = streamed
+                .or_else(|| report.stages.iter().find(|s| s.report.stream.is_some()).cloned());
+            pin(&mut pins, format!("report {mode:?}"), &report);
+        }
+        let stage = streamed.expect("the stream run streams a stage");
+        let entry = StageEntry {
+            input_rows: stage.input_rows,
+            reference_ok: stage.reference_ok,
+            report: stage.report,
+            projected: vec![Tuple { key: 7, payload: 9 }, Tuple { key: 1, payload: u64::MAX }]
+                .into(),
+        };
+        pin(&mut pins, "stage entry".into(), &entry);
+        let rel = vec![Tuple { key: 3, payload: 4 }, Tuple { key: 0, payload: u64::MAX }];
+        let outputs = [
+            OpOutput::Tuples(rel.clone()),
+            OpOutput::Expanded { tuples: rel, fanout: 3 },
+            OpOutput::Groups([(2, aggregates(2)), (9, aggregates(9))].into()),
+            OpOutput::CoGroups([(4, (aggregates(1), aggregates(4)))].into()),
+            OpOutput::Rows(vec![(1, 2, 3), (u64::MAX, 0, 7)]),
+        ];
+        for (i, output) in outputs.iter().enumerate() {
+            pin(&mut pins, format!("output {i}"), output);
+        }
+        let specs = [
+            StageSpec::Filter { modulus: 10, remainder: 3 },
+            StageSpec::LookupKey { key: 42 },
+            StageSpec::Map { key_mul: 5, key_add: 6 },
+            StageSpec::MapValues { mul: 7, add: 8 },
+            StageSpec::Union,
+            StageSpec::FlatMap { fanout: 4 },
+            StageSpec::Cogroup,
+            StageSpec::GroupByKey,
+            StageSpec::ReduceByKey,
+            StageSpec::CountByKey,
+            StageSpec::AggregateByKey,
+            StageSpec::SortByKey,
+            StageSpec::Join { build: BuildSide::Dimension },
+            StageSpec::Join { build: BuildSide::Stage(11) },
+        ];
+        for (i, spec) in specs.iter().enumerate() {
+            pin(&mut pins, format!("spec {i}"), spec);
+        }
+        for system in SystemKind::ALL {
+            pin(&mut pins, format!("system {system:?}"), &system);
+        }
+        let ops = [
+            OperatorKind::Scan,
+            OperatorKind::Join,
+            OperatorKind::GroupBy,
+            OperatorKind::Sort,
+            OperatorKind::Union,
+            OperatorKind::Cogroup,
+            OperatorKind::FlatMap,
+        ];
+        for op in ops {
+            pin(&mut pins, format!("op {op:?}"), &op);
+        }
+        for mode in modes {
+            pin(&mut pins, format!("mode {mode:?}"), &mode);
+        }
+        // The three tag enums share one-byte encodings, hence digests; each
+        // is listed by name so a renumbered variant shows as itself.
+        let expected: &[(&str, u64)] = &[
+            ("report Serial", 0x5ec7_57b2_8833_bcb1),
+            ("report Branch", 0x3cfa_1bde_7932_d6cc),
+            ("report Stream", 0xa17f_60ab_3615_4ce9),
+            ("report Auto", 0x56fd_ea76_e5ad_2acf),
+            ("stage entry", 0xa2d2_717c_4560_c533),
+            ("output 0", 0x726e_6532_0bdb_8372),
+            ("output 1", 0xbec8_68a7_4ce8_f1a2),
+            ("output 2", 0x6a5f_afef_0e8c_439d),
+            ("output 3", 0xcafc_627b_ea0a_e77d),
+            ("output 4", 0xa519_e3ea_c8e8_af0e),
+            ("spec 0", 0x5708_3a38_1e13_ef36),
+            ("spec 1", 0xb960_a184_f070_32c6),
+            ("spec 2", 0x1a93_123e_8dda_4806),
+            ("spec 3", 0x81a2_0a98_cf89_67dd),
+            ("spec 4", 0xaf63_b94c_8601_b113),
+            ("spec 5", 0x80db_f38a_6946_83e4),
+            ("spec 6", 0xaf63_bb4c_8601_b479),
+            ("spec 7", 0xaf63_ba4c_8601_b2c6),
+            ("spec 8", 0xaf63_c54c_8601_c577),
+            ("spec 9", 0xaf63_c44c_8601_c3c4),
+            ("spec 10", 0xaf63_c74c_8601_c8dd),
+            ("spec 11", 0xaf63_c64c_8601_c72a),
+            ("spec 12", 0x0840_2007_b4f6_fc91),
+            ("spec 13", 0x222c_372b_3732_e775),
+            ("system Cpu", 0xaf63_bd4c_8601_b7df),
+            ("system Nmp", 0xaf63_bc4c_8601_b62c),
+            ("system NmpPerm", 0xaf63_bf4c_8601_bb45),
+            ("system NmpRand", 0xaf63_be4c_8601_b992),
+            ("system NmpSeq", 0xaf63_b94c_8601_b113),
+            ("system MondrianNoperm", 0xaf63_b84c_8601_af60),
+            ("system Mondrian", 0xaf63_bb4c_8601_b479),
+            ("op Scan", 0xaf63_bd4c_8601_b7df),
+            ("op Join", 0xaf63_bc4c_8601_b62c),
+            ("op GroupBy", 0xaf63_bf4c_8601_bb45),
+            ("op Sort", 0xaf63_be4c_8601_b992),
+            ("op Union", 0xaf63_b94c_8601_b113),
+            ("op Cogroup", 0xaf63_b84c_8601_af60),
+            ("op FlatMap", 0xaf63_bb4c_8601_b479),
+            ("mode Serial", 0xaf63_bd4c_8601_b7df),
+            ("mode Branch", 0xaf63_bc4c_8601_b62c),
+            ("mode Stream", 0xaf63_bf4c_8601_bb45),
+            ("mode Auto", 0xaf63_be4c_8601_b992),
+        ];
+        let expected: Vec<(String, u64)> =
+            expected.iter().map(|&(name, digest)| (name.to_string(), digest)).collect();
+        assert_eq!(pins, expected);
     }
 }

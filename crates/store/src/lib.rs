@@ -36,8 +36,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use mondrian_pipeline::{ExecStore, PipelineReport, StageEntry};
+use mondrian_pipeline::{fnv1a, ExecStore, PipelineReport, StageEntry};
 use mondrian_workloads::Tuple;
+
+use codec::{Codec, Dec, Enc};
 
 /// On-disk layout version: bump on any codec or entry-format change.
 pub const STORE_FORMAT_VERSION: u32 = 2;
@@ -45,17 +47,12 @@ pub const STORE_FORMAT_VERSION: u32 = 2;
 /// Entry-file magic.
 const MAGIC: [u8; 4] = *b"MNDS";
 
-/// File-name prefixes of the three entry kinds.
+/// File-name prefixes of the three entry kinds, indexed by [`RUN`],
+/// [`STAGE`] and [`REF`].
 const KINDS: [&str; 3] = ["run", "stage", "ref"];
-
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+const RUN: usize = 0;
+const STAGE: usize = 1;
+const REF: usize = 2;
 
 /// Resolves the store's base directory, in precedence order: the
 /// `--cache-dir` flag, the `MONDRIAN_CACHE` environment variable, then
@@ -152,12 +149,10 @@ pub struct Store {
     /// the journal sorted — so journal content is deterministic for any
     /// `--jobs` value.
     touched: Mutex<BTreeSet<String>>,
-    run_hits: AtomicU64,
-    run_misses: AtomicU64,
-    stage_hits: AtomicU64,
-    stage_misses: AtomicU64,
-    ref_hits: AtomicU64,
-    ref_misses: AtomicU64,
+    /// Loads served, by entry kind.
+    hits: [AtomicU64; 3],
+    /// Loads that missed (absent, corrupt, or key-mismatched), by kind.
+    misses: [AtomicU64; 3],
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
 }
@@ -183,12 +178,8 @@ impl Store {
             dir,
             generation,
             touched: Mutex::new(BTreeSet::new()),
-            run_hits: AtomicU64::new(0),
-            run_misses: AtomicU64::new(0),
-            stage_hits: AtomicU64::new(0),
-            stage_misses: AtomicU64::new(0),
-            ref_hits: AtomicU64::new(0),
-            ref_misses: AtomicU64::new(0),
+            hits: Default::default(),
+            misses: Default::default(),
             bytes_read: AtomicU64::new(0),
             bytes_written: AtomicU64::new(0),
         })
@@ -201,13 +192,17 @@ impl Store {
 
     /// A snapshot of the session's hit/miss/traffic counters.
     pub fn counters(&self) -> CacheCounters {
+        let [run_hits, stage_hits, ref_hits] =
+            self.hits.each_ref().map(|c| c.load(Ordering::Relaxed));
+        let [run_misses, stage_misses, ref_misses] =
+            self.misses.each_ref().map(|c| c.load(Ordering::Relaxed));
         CacheCounters {
-            run_hits: self.run_hits.load(Ordering::Relaxed),
-            run_misses: self.run_misses.load(Ordering::Relaxed),
-            stage_hits: self.stage_hits.load(Ordering::Relaxed),
-            stage_misses: self.stage_misses.load(Ordering::Relaxed),
-            ref_hits: self.ref_hits.load(Ordering::Relaxed),
-            ref_misses: self.ref_misses.load(Ordering::Relaxed),
+            run_hits,
+            run_misses,
+            stage_hits,
+            stage_misses,
+            ref_hits,
+            ref_misses,
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
         }
@@ -215,43 +210,40 @@ impl Store {
 
     /// Loads a full-run report. Any corruption is a miss.
     pub fn load_run(&self, key: &str) -> Option<PipelineReport> {
-        match self.load("run", key.as_bytes()).and_then(|p| codec::decode_pipeline_report(&p)) {
-            Some(report) => {
-                self.run_hits.fetch_add(1, Ordering::Relaxed);
-                Some(report)
-            }
-            None => {
-                self.run_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.load(RUN, key.as_bytes())
     }
 
     /// Persists a full-run report (atomic tempfile + rename; best-effort).
     pub fn save_run(&self, key: &str, report: &PipelineReport) {
-        self.save("run", key.as_bytes(), &codec::encode_pipeline_report(report));
+        self.save(RUN, key.as_bytes(), report);
     }
 
     /// The file name an entry lives under: kind prefix + key hash. The
     /// full key material is embedded in (and verified against) the entry
     /// itself, so hash collisions degrade to misses, never wrong results.
-    fn file_name(kind: &str, key: &[u8]) -> String {
-        format!("{kind}-{:016x}.bin", fnv1a(key.iter().copied()))
+    fn file_name(kind: usize, key: &[u8]) -> String {
+        format!("{}-{:016x}.bin", KINDS[kind], fnv1a(key.iter().copied()))
     }
 
-    fn load(&self, kind: &str, key: &[u8]) -> Option<Vec<u8>> {
+    /// Loads and decodes one entry, counting the hit or miss under `kind`.
+    fn load<T: Codec>(&self, kind: usize, key: &[u8]) -> Option<T> {
         let name = Self::file_name(kind, key);
-        let raw = fs::read(self.dir.join(&name)).ok()?;
-        let payload = decode_entry(&raw, key)?;
-        self.bytes_read.fetch_add(payload.len() as u64, Ordering::Relaxed);
-        self.touch(name);
-        Some(payload)
+        let value = fs::read(self.dir.join(&name)).ok().and_then(|raw| {
+            let payload = decode_entry(&raw, key)?;
+            self.bytes_read.fetch_add(payload.len() as u64, Ordering::Relaxed);
+            self.touch(name);
+            codec::decode(payload)
+        });
+        let counters = if value.is_some() { &self.hits } else { &self.misses };
+        counters[kind].fetch_add(1, Ordering::Relaxed);
+        value
     }
 
-    fn save(&self, kind: &str, key: &[u8], payload: &[u8]) {
+    fn save<T: Codec + ?Sized>(&self, kind: usize, key: &[u8], value: &T) {
         let name = Self::file_name(kind, key);
         let tmp = self.dir.join(format!(".{name}.{}.tmp", std::process::id()));
-        let bytes = encode_entry(key, payload);
+        let payload = codec::encode(value);
+        let bytes = encode_entry(key, &payload);
         let written = fs::write(&tmp, &bytes).and_then(|()| fs::rename(&tmp, self.dir.join(&name)));
         match written {
             Ok(()) => {
@@ -405,93 +397,49 @@ impl Drop for Store {
 
 impl ExecStore for Store {
     fn load_ref(&self, key: &[u8]) -> Option<std::sync::Arc<[Tuple]>> {
-        match self.load("ref", key).and_then(|p| codec::decode_rel(&p)) {
-            Some(rel) => {
-                self.ref_hits.fetch_add(1, Ordering::Relaxed);
-                Some(rel)
-            }
-            None => {
-                self.ref_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.load(REF, key)
     }
 
     fn save_ref(&self, key: &[u8], rel: &[Tuple]) {
-        self.save("ref", key, &codec::encode_rel(rel));
+        self.save(REF, key, rel);
     }
 
     fn load_stage(&self, key: &[u8]) -> Option<StageEntry> {
-        match self.load("stage", key).and_then(|p| codec::decode_stage_entry(&p)) {
-            Some(entry) => {
-                self.stage_hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry)
-            }
-            None => {
-                self.stage_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.load(STAGE, key)
     }
 
     fn save_stage(&self, key: &[u8], entry: &StageEntry) {
-        self.save("stage", key, &codec::encode_stage_entry(entry));
+        self.save(STAGE, key, entry);
     }
 }
 
 /// Entry file layout: magic, format version, key length + key material,
 /// payload length + payload, FNV-1a checksum over everything before it.
 fn encode_entry(key: &[u8], payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 4 + 8 + key.len() + 8 + payload.len() + 8);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&STORE_FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(key.len() as u64).to_le_bytes());
-    out.extend_from_slice(key);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    let checksum = fnv1a(out.iter().copied());
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
+    let mut e = Enc::default();
+    e.raw(&MAGIC);
+    STORE_FORMAT_VERSION.enc(&mut e);
+    e.bytes(key);
+    e.bytes(payload);
+    let checksum = fnv1a(e.buf.iter().copied());
+    checksum.enc(&mut e);
+    e.buf
 }
 
-/// Validates magic, version, checksum, and the embedded key (a hash
+/// Validates checksum, magic, version and the embedded key (a hash
 /// collision or a truncated/flipped file is a miss), returning the
 /// payload.
-fn decode_entry(raw: &[u8], key: &[u8]) -> Option<Vec<u8>> {
-    let body_len = raw.len().checked_sub(8)?;
-    let (body, tail) = raw.split_at(body_len);
-    let checksum = u64::from_le_bytes(tail.try_into().ok()?);
-    if fnv1a(body.iter().copied()) != checksum {
+fn decode_entry<'a>(raw: &'a [u8], key: &[u8]) -> Option<&'a [u8]> {
+    let (body, checksum) = raw.split_at(raw.len().checked_sub(8)?);
+    if codec::decode::<u64>(checksum)? != fnv1a(body.iter().copied()) {
         return None;
     }
-    let mut pos = 0;
-    let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
-        let end = pos.checked_add(n)?;
-        if end > body.len() {
-            return None;
-        }
-        let s = &body[*pos..end];
-        *pos = end;
-        Some(s)
-    };
-    if take(&mut pos, 4)? != MAGIC {
+    let mut d = Dec::new(body);
+    if d.take(4)? != MAGIC || u32::dec(&mut d)? != STORE_FORMAT_VERSION || d.bytes()? != key {
         return None;
     }
-    let version = u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?);
-    if version != STORE_FORMAT_VERSION {
-        return None;
-    }
-    let key_len = usize::try_from(u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?)).ok()?;
-    if take(&mut pos, key_len)? != key {
-        return None;
-    }
-    let payload_len =
-        usize::try_from(u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?)).ok()?;
-    let payload = take(&mut pos, payload_len)?.to_vec();
-    if pos != body.len() {
-        return None;
-    }
-    Some(payload)
+    let payload = d.bytes()?;
+    d.done().then_some(payload)
 }
 
 fn read_journal(path: &Path) -> BTreeMap<String, u64> {
@@ -578,7 +526,7 @@ mod tests {
         let store = Store::open(&root, "test").unwrap();
         let report = sample_report();
         store.save_run("k1", &report);
-        let name = Store::file_name("run", b"k1");
+        let name = Store::file_name(RUN, b"k1");
         let path = store.dir().join(&name);
         // Flip one payload byte: the checksum must catch it.
         let mut bytes = fs::read(&path).unwrap();
@@ -594,7 +542,7 @@ mod tests {
         // A different key hashing to the same file (simulated by writing
         // under the other key's name) must miss on key verification.
         store.save_run("k1", &report);
-        let other = store.dir().join(Store::file_name("run", b"k2"));
+        let other = store.dir().join(Store::file_name(RUN, b"k2"));
         fs::copy(&path, &other).unwrap();
         assert!(store.load_run("k2").is_none(), "key mismatch must miss");
         // And a fresh save overwrites the corruption.
@@ -661,11 +609,11 @@ mod tests {
         // rewritten journal does not adopt the writer's unflushed entry
         // — the writer journals it at its own generation on flush.
         let survivors = fs::read_to_string(pruner.dir().join("journal.log")).unwrap();
-        assert!(!survivors.contains(&Store::file_name("run", b"k3")));
+        assert!(!survivors.contains(&Store::file_name(RUN, b"k3")));
         writer.flush_journal();
         let journaled = read_journal(&pruner.dir().join("journal.log"));
         assert_eq!(
-            journaled.get(&Store::file_name("run", b"k3")).copied(),
+            journaled.get(&Store::file_name(RUN, b"k3")).copied(),
             Some(writer.generation),
             "the writer's flush records the true generation"
         );
@@ -680,12 +628,103 @@ mod tests {
         store.save_run("k1", &report);
         // Another process prunes the entry away between this session's
         // save and its next load: the read must degrade to a clean miss.
-        fs::remove_file(store.dir().join(Store::file_name("run", b"k1"))).unwrap();
+        fs::remove_file(store.dir().join(Store::file_name(RUN, b"k1"))).unwrap();
         assert!(store.load_run("k1").is_none(), "a lost race reads as a miss");
         assert_eq!(store.counters().run_misses, 1);
         // The miss path re-simulates and overwrites; the store recovers.
         store.save_run("k1", &report);
         assert!(store.load_run("k1").is_some());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// A stage entry built from the sample run's last stage.
+    fn sample_entry() -> StageEntry {
+        let report = sample_report();
+        let stage = report.stages.last().expect("the sample has stages");
+        StageEntry {
+            input_rows: stage.input_rows,
+            reference_ok: stage.reference_ok,
+            report: stage.report.clone(),
+            projected: report.output.clone().into(),
+        }
+    }
+
+    #[test]
+    fn stage_and_ref_entries_roundtrip() {
+        let root = tmp_root("stage-ref");
+        let store = Store::open(&root, "test").unwrap();
+        let entry = sample_entry();
+        assert!(store.load_stage(b"s").is_none(), "empty store misses");
+        store.save_stage(b"s", &entry);
+        let loaded = store.load_stage(b"s").expect("saved stage entry loads");
+        assert_eq!(format!("{loaded:?}"), format!("{entry:?}"));
+        assert!(store.load_ref(b"r").is_none(), "empty store misses");
+        store.save_ref(b"r", &entry.projected);
+        assert_eq!(store.load_ref(b"r").as_deref(), Some(&entry.projected[..]));
+        // A key names an entry of one kind only.
+        assert!(store.load_ref(b"s").is_none() && store.load_stage(b"r").is_none());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn counters_report_each_kinds_own_hits_and_misses() {
+        let root = tmp_root("counters");
+        let store = Store::open(&root, "test").unwrap();
+        let (report, entry) = (sample_report(), sample_entry());
+        let rel = [Tuple { key: 1, payload: 2 }];
+        store.save_run("k", &report);
+        store.save_stage(b"k", &entry);
+        store.save_ref(b"k", &rel);
+        // Hits 1 / 2 / 3 and misses 4 / 5 / 6 for run / stage / ref, so a
+        // counter read from the wrong kind shows.
+        (0..1).for_each(|_| assert!(store.load_run("k").is_some()));
+        (0..2).for_each(|_| assert!(store.load_stage(b"k").is_some()));
+        (0..3).for_each(|_| assert!(store.load_ref(b"k").is_some()));
+        (0..4).for_each(|_| assert!(store.load_run("x").is_none()));
+        (0..5).for_each(|_| assert!(store.load_stage(b"x").is_none()));
+        (0..6).for_each(|_| assert!(store.load_ref(b"x").is_none()));
+        let (run, stage, rf) = (
+            codec::encode(&report).len() as u64,
+            codec::encode(&entry).len() as u64,
+            codec::encode(&rel[..]).len() as u64,
+        );
+        assert_eq!(
+            store.counters(),
+            CacheCounters {
+                run_hits: 1,
+                run_misses: 4,
+                stage_hits: 2,
+                stage_misses: 5,
+                ref_hits: 3,
+                ref_misses: 6,
+                bytes_read: run + 2 * stage + 3 * rf,
+                bytes_written: run + stage + rf,
+            }
+        );
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn every_truncation_and_byte_flip_of_an_entry_is_a_miss() {
+        let root = tmp_root("flips");
+        let store = Store::open(&root, "test").unwrap();
+        let rel = [Tuple { key: 5, payload: 6 }];
+        store.save_ref(b"k", &rel);
+        let path = store.dir().join(Store::file_name(REF, b"k"));
+        let good = fs::read(&path).unwrap();
+        let prefixes = (0..good.len()).map(|len| good[..len].to_vec());
+        let flips = (0..good.len()).map(|i| {
+            let mut bytes = good.clone();
+            bytes[i] ^= 0x01;
+            bytes
+        });
+        for (i, bad) in prefixes.chain(flips).enumerate() {
+            fs::write(&path, &bad).unwrap();
+            assert!(store.load_ref(b"k").is_none(), "corrupt variant {i} must miss");
+        }
+        assert_eq!(store.counters().ref_misses, 2 * good.len() as u64);
+        fs::write(&path, &good).unwrap();
+        assert_eq!(store.load_ref(b"k").as_deref(), Some(&rel[..]), "the intact entry hits");
         let _ = fs::remove_dir_all(&root);
     }
 
