@@ -134,7 +134,11 @@ struct Line {
 #[derive(Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Every way of every set, set-major: set `s` is
+    /// `lines[s * ways..(s + 1) * ways]`.
+    lines: Vec<Line>,
+    /// The set count, `cfg.sets()`, computed once.
+    sets: u64,
     tick: u64,
     outstanding: u32,
     stats: CacheStats,
@@ -155,10 +159,11 @@ impl Cache {
             "capacity must factor exactly into sets × ways × line"
         );
         Self {
-            sets: vec![
-                vec![Line { tag: 0, state: LineState::Invalid, lru: 0 }; cfg.ways as usize];
-                sets as usize
+            lines: vec![
+                Line { tag: 0, state: LineState::Invalid, lru: 0 };
+                (sets * cfg.ways as u64) as usize
             ],
+            sets,
             cfg,
             tick: 0,
             outstanding: 0,
@@ -173,9 +178,18 @@ impl Cache {
 
     fn index(&self, addr: u64) -> (usize, u64) {
         let line = addr / self.cfg.line_bytes as u64;
-        let set = (line % self.cfg.sets()) as usize;
-        let tag = line / self.cfg.sets();
-        (set, tag)
+        ((line % self.sets) as usize, line / self.sets)
+    }
+
+    /// The ways of set `set`.
+    fn set(&self, set: usize) -> &[Line] {
+        let ways = self.cfg.ways as usize;
+        &self.lines[set * ways..(set + 1) * ways]
+    }
+
+    fn set_mut(&mut self, set: usize) -> &mut [Line] {
+        let ways = self.cfg.ways as usize;
+        &mut self.lines[set * ways..(set + 1) * ways]
     }
 
     /// Classifies an access to `addr` and updates LRU/dirty state on a hit.
@@ -183,7 +197,7 @@ impl Cache {
         self.tick += 1;
         let tick = self.tick;
         let (set, tag) = self.index(addr);
-        for line in &mut self.sets[set] {
+        for line in self.set_mut(set) {
             if line.tag != tag {
                 continue;
             }
@@ -214,14 +228,14 @@ impl Cache {
     /// statistics side effects).
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.index(addr);
-        self.sets[set].iter().any(|l| l.tag == tag && matches!(l.state, LineState::Valid { .. }))
+        self.set(set).iter().any(|l| l.tag == tag && matches!(l.state, LineState::Valid { .. }))
     }
 
     /// Whether the line containing `addr` is resident *or* has a fill in
     /// flight (no side effects) — used by prefetch filtering.
     pub fn tracked(&self, addr: u64) -> bool {
         let (set, tag) = self.index(addr);
-        self.sets[set].iter().any(|l| l.tag == tag && l.state != LineState::Invalid)
+        self.set(set).iter().any(|l| l.tag == tag && l.state != LineState::Invalid)
     }
 
     /// Whether an MSHR is available for a new fill.
@@ -238,7 +252,7 @@ impl Cache {
         }
         let (set, tag) = self.index(addr);
         let mut evictable = false;
-        for l in &self.sets[set] {
+        for l in self.set(set) {
             if l.tag == tag && l.state != LineState::Invalid {
                 return false; // already present or pending
             }
@@ -264,18 +278,19 @@ impl Cache {
         let tick = self.tick;
         let (set, tag) = self.index(addr);
         assert!(
-            !self.sets[set].iter().any(|l| l.tag == tag && l.state != LineState::Invalid),
+            !self.set(set).iter().any(|l| l.tag == tag && l.state != LineState::Invalid),
             "line already present"
         );
         if prefetch {
             self.stats.prefetch_fills += 1;
         }
         self.outstanding += 1;
-        let sets_count = self.cfg.sets();
+        let sets_count = self.sets;
         let line_bytes = self.cfg.line_bytes as u64;
         // Victim: an invalid way if any, else the LRU way that is not
         // pending (pending lines cannot be evicted mid-fill).
-        let set_lines = &mut self.sets[set];
+        let ways = self.cfg.ways as usize;
+        let set_lines = &mut self.lines[set * ways..(set + 1) * ways];
         if let Some(way) = set_lines.iter_mut().find(|l| l.state == LineState::Invalid) {
             *way = Line { tag, state: LineState::Pending, lru: tick };
             return FillOutcome { writeback: None };
@@ -306,7 +321,8 @@ impl Cache {
     /// Panics if no fill is pending for that line.
     pub fn complete_fill(&mut self, addr: u64) {
         let (set, tag) = self.index(addr);
-        let line = self.sets[set]
+        let line = self
+            .set_mut(set)
             .iter_mut()
             .find(|l| l.tag == tag && l.state == LineState::Pending)
             .expect("no pending fill for line");
@@ -319,7 +335,8 @@ impl Cache {
     /// Does nothing if the line is not resident.
     pub fn mark_dirty(&mut self, addr: u64) {
         let (set, tag) = self.index(addr);
-        if let Some(line) = self.sets[set]
+        if let Some(line) = self
+            .set_mut(set)
             .iter_mut()
             .find(|l| l.tag == tag && matches!(l.state, LineState::Valid { .. }))
         {
@@ -339,10 +356,8 @@ impl Cache {
 
     /// Invalidates all contents and resets statistics.
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                line.state = LineState::Invalid;
-            }
+        for line in &mut self.lines {
+            line.state = LineState::Invalid;
         }
         self.tick = 0;
         self.outstanding = 0;

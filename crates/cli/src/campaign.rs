@@ -23,7 +23,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mondrian_core::fault::{Abort, AbortReason, FaultHandle};
@@ -33,7 +33,7 @@ use mondrian_pipeline::{
     run_metrics, BuildSide, ExecCache, ExecStore, PipelineReport, Stage, StageInput, StageSpec,
     WaveReport,
 };
-use mondrian_sim::{Stat, Stats, StealQueue};
+use mondrian_sim::{fan_out, Stat, Stats};
 use mondrian_store::{CacheCounters, Store};
 
 use crate::manifest::{Manifest, RunSpec};
@@ -46,10 +46,14 @@ use crate::value::Value;
 pub const SCHEMA_VERSION: i64 = 8;
 
 /// The [`Store::open`] salt binding persistent entries to the artifact
-/// schema (and, through the store's own fingerprint, to the engine
-/// version).
+/// schema and to the engine model ([`mondrian_core::MODEL_FINGERPRINT`]),
+/// so neither a schema bump nor a model change can serve stale entries.
 pub fn store_salt() -> String {
-    format!("schema{SCHEMA_VERSION}")
+    salt_for(mondrian_core::MODEL_FINGERPRINT)
+}
+
+fn salt_for(model: u64) -> String {
+    format!("schema{SCHEMA_VERSION}|model{model:016x}")
 }
 
 /// The standardized exit taxonomy: every campaign (and the `mondrian`
@@ -471,29 +475,16 @@ pub fn run_campaign_store<F: FnMut(&CampaignRun)>(
 
     // Parallel pre-pass over the owners; with one job the owners simulate
     // lazily inside the assembly loop instead, so progress streams.
-    // Owners are dealt round-robin onto per-worker deques and idle
-    // workers steal from the tails, so one long-running sweep point
-    // cannot strand the rest of the ladder behind it. Scheduling is
-    // nondeterministic; results are collected by sweep position, so the
-    // artifact is not.
+    // Workers claim owners through one shared cursor, so one long-running
+    // sweep point cannot strand the rest of the ladder behind it.
+    // Scheduling is nondeterministic; results are collected by sweep
+    // position, so the artifact is not.
     let mut results: Vec<Option<RunResult>> = (0..specs.len()).map(|_| None).collect();
     if jobs > 1 && unique.len() > 1 {
-        let workers = jobs.min(unique.len());
-        let queue = StealQueue::seed(unique.iter().copied(), workers);
-        let slots = Mutex::new(&mut results);
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let queue = &queue;
-                let slots = &slots;
-                let run_one = &run_one;
-                scope.spawn(move || {
-                    while let Some(i) = queue.pop(w) {
-                        let out = run_one(i);
-                        slots.lock().expect("worker panicked")[i] = Some(out);
-                    }
-                });
-            }
-        });
+        let outs = fan_out(unique.len(), jobs, |k| run_one(unique[k]));
+        for (&i, out) in unique.iter().zip(outs) {
+            results[i] = Some(out);
+        }
     }
 
     // Assemble by sweep position. The first tripped *limit* truncates:
@@ -1152,6 +1143,23 @@ mod tests {
         // Both systems compute the same functional outputs, so the second
         // system's reference prefixes come from the cache.
         assert_eq!(a.reference_hits, 3, "second system reuses all three prefixes");
+    }
+
+    #[test]
+    fn a_different_model_fingerprint_misses_the_store() {
+        let manifest = Manifest::parse(MANIFEST, Format::Toml).unwrap();
+        let root = std::env::temp_dir().join(format!("mondrian-salt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let run = |salt: &str| {
+            let store = Arc::new(Store::open(&root, salt).unwrap());
+            let campaign = run_campaign_store(&manifest, 1, Some(store), &(), |_| {});
+            campaign.cache.expect("a store was attached")
+        };
+        assert_eq!(run(&store_salt()).run_hits, 0, "cold");
+        assert_eq!(run(&store_salt()).run_hits, 2, "warm under the same model");
+        let other = run(&salt_for(mondrian_core::MODEL_FINGERPRINT ^ 1));
+        assert_eq!(other.hits(), 0, "another model reads nothing the first one wrote");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -795,7 +795,9 @@ impl Experiment {
             .map(|v| {
                 arrivals
                     .get(&v)
-                    .map(|log| log.iter().map(|&(core, seq)| input[core][seq as usize]).collect())
+                    .map(|log| {
+                        log.iter().map(|&(core, seq)| input[core as usize][seq as usize]).collect()
+                    })
                     .unwrap_or_default()
             })
             .collect()
@@ -927,11 +929,14 @@ impl Experiment {
         };
         // One check for every operator: the captured output must equal
         // the registered reference over the relations the driver ran on.
+        // The report comes first, so the machine is freed before the
+        // reference is built.
+        let (op, seed) = (self.op, self.cfg.seed);
+        let mut report = self.finish(false, ran.summary, ran.output);
         let inputs: Vec<&[Tuple]> = ran.inputs.iter().map(|r| &r[..]).collect();
-        let inv =
-            OpInvocation { inputs: &inputs, build: ran.build.as_deref(), seed: self.cfg.seed };
-        let verified = ran.output == operator(self.op).reference(&ran.spec, &inv);
-        self.finish(verified, ran.summary, ran.output)
+        let inv = OpInvocation { inputs: &inputs, build: ran.build.as_deref(), seed };
+        report.verified = report.output == operator(op).reference(&ran.spec, &inv);
+        report
     }
 
     fn run_scan(&mut self) -> Ran {

@@ -39,6 +39,13 @@ pub mod fault;
 pub mod layout;
 pub mod system;
 
+/// Identity of the engine model: the FNV-1a of the golden digest tables
+/// in `tests/engine_golden.rs`, which a test holds it to. A change to the
+/// simulated output regenerates those tables and so must update this
+/// constant too; the persistent store folds it into its directory name,
+/// so every store filled by the old model stops being read.
+pub const MODEL_FINGERPRINT: u64 = 0x5e7f_de7d_735a_e66c;
+
 pub use config::{PartitionSpec, SystemConfig, SystemKind};
 pub use experiment::{ExperimentBuilder, KeyDist, Report, StageOutput, StreamInfo};
 pub use fault::{Abort, AbortReason, FaultHandle, FaultPlan};

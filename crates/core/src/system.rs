@@ -63,11 +63,14 @@ enum Ep {
     Vault(u32),
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct Pending {
     core: usize,
     req: MemRequest,
 }
+
+/// The request id of a DRAM request without a continuation.
+const NO_CONTINUATION: u64 = u64::MAX;
 
 /// Continuation attached to each DRAM request.
 #[derive(Debug, Clone, Copy)]
@@ -91,6 +94,52 @@ enum Ev {
     LlcFillDone { line: u64 },
 }
 
+/// A slot vector that reuses freed slots: it grows with the entries
+/// alive at once, not with every entry a phase ever inserts. Slot
+/// indices label in-flight requests only; nothing orders by them.
+#[derive(Debug)]
+struct Slots<T> {
+    items: Vec<T>,
+    free: Vec<usize>,
+}
+
+impl<T> Default for Slots<T> {
+    fn default() -> Self {
+        Self { items: Vec::new(), free: Vec::new() }
+    }
+}
+
+impl<T: Copy> Slots<T> {
+    fn insert(&mut self, item: T) -> usize {
+        if let Some(i) = self.free.pop() {
+            self.items[i] = item;
+            i
+        } else {
+            self.items.push(item);
+            self.items.len() - 1
+        }
+    }
+
+    /// The entry in slot `i`, whose slot is freed for reuse.
+    fn take(&mut self, i: usize) -> T {
+        self.free.push(i);
+        self.items[i]
+    }
+
+    fn clear(&mut self) {
+        self.items.clear();
+        self.free.clear();
+    }
+}
+
+impl<T> std::ops::Index<usize> for Slots<T> {
+    type Output = T;
+
+    fn index(&self, i: usize) -> &T {
+        &self.items[i]
+    }
+}
+
 /// Reusable per-phase working state. `run_phase` used to rebuild every one
 /// of these maps, queues and buffers on each phase; operators run many
 /// short phases per stage, so the machine now owns a single copy that is
@@ -99,7 +148,9 @@ enum Ev {
 /// itself, where [`Machine::enqueue_dram`] reaches them.
 #[derive(Debug, Default)]
 struct PhaseScratch {
-    pending: Vec<Pending>,
+    /// Core requests in flight, freed at their `MemDone` or when a
+    /// stalled request is retried under a fresh slot.
+    pending: Slots<Pending>,
     vault_tick: Vec<Option<Time>>,
     l1_waiters: Vec<HashMap<u64, Vec<usize>>>,
     llc_waiters: HashMap<u64, Vec<(usize, u64)>>,
@@ -150,13 +201,12 @@ pub struct Machine {
     perm_bases: HashMap<u32, u64>,
     /// Arrival metadata from the last shuffle: per vault, `(core, seq)` in
     /// arrival order.
-    perm_arrivals: HashMap<u32, Vec<(usize, u64)>>,
+    perm_arrivals: HashMap<u32, Vec<(u32, u32)>>,
     /// Reusable per-phase buffers (allocation diet; see [`PhaseScratch`]).
     scratch: PhaseScratch,
-    /// Continuation of every DRAM request of the running phase, indexed by
-    /// its dense per-phase id and taken when the request completes. `None`
-    /// marks an id whose permutable write overflowed.
-    vault_ops: Vec<Option<VaultOp>>,
+    /// Continuation of every DRAM request in flight that has one, indexed
+    /// by its request id and taken when the request completes.
+    vault_ops: Slots<VaultOp>,
     /// Vaults enqueued into since the event loop last rescheduled vault
     /// ticks. Only these can need an earlier tick, so the loop rescans
     /// them instead of every vault.
@@ -226,7 +276,7 @@ impl Machine {
             perm_bases: HashMap::new(),
             perm_arrivals: HashMap::new(),
             scratch: PhaseScratch::default(),
-            vault_ops: Vec::new(),
+            vault_ops: Slots::default(),
             touched_vaults: Vec::new(),
             events_done: 0,
             stats: Stats::new(),
@@ -285,7 +335,7 @@ impl Machine {
 
     /// Tears down permutable regions and collects the arrival logs — the
     /// hardware half of `shuffle_end`.
-    pub fn shuffle_end(&mut self) -> HashMap<u32, Vec<(usize, u64)>> {
+    pub fn shuffle_end(&mut self) -> HashMap<u32, Vec<(u32, u32)>> {
         for v in self.vaults.iter_mut() {
             v.clear_permutable_region();
         }
@@ -557,9 +607,10 @@ impl Machine {
                     crate::faultpoint!(self.cfg.fault, fault::Site::VaultPoll);
                     self.vaults[v as usize].poll_into(t, done);
                     for c in done.iter() {
-                        let op =
-                            self.vault_ops[c.id as usize].take().expect("continuation registered");
-                        match op {
+                        if c.id == NO_CONTINUATION {
+                            continue;
+                        }
+                        match self.vault_ops.take(c.id as usize) {
                             VaultOp::Fire => {}
                             VaultOp::StreamFill { pending: p } => {
                                 let done_at = c.finish + PS_PER_NS;
@@ -584,8 +635,7 @@ impl Machine {
                     sched_vault!(queue, vault_tick, v);
                 }
                 Ev::MemDone { pending: p } => {
-                    let core_id = pending[p].core;
-                    let req = pending[p].req;
+                    let Pending { core: core_id, req } = pending.take(p);
                     if let Some(core) = cores[core_id].as_mut() {
                         out_buf.clear();
                         core.complete_mem(&req, t, out_buf);
@@ -614,7 +664,7 @@ impl Machine {
                             stalls[core].push_front(p);
                             break;
                         }
-                        let mut retry = pending[p].req;
+                        let mut retry = pending.take(p).req;
                         retry.issue_at = t;
                         handle_reqs.push_back((core, retry));
                     }
@@ -675,7 +725,7 @@ impl Machine {
         core: usize,
         req: MemRequest,
         queue: &mut EventQueue<Ev>,
-        pending: &mut Vec<Pending>,
+        pending: &mut Slots<Pending>,
         l1_waiters: &mut [HashMap<u64, Vec<usize>>],
         llc_waiters: &mut HashMap<u64, Vec<(usize, u64)>>,
         stalls: &mut [VecDeque<usize>],
@@ -684,13 +734,11 @@ impl Machine {
         let t = req.issue_at;
         match req.kind {
             MemKind::Load | MemKind::Store(StoreKind::Cached) => {
-                let p = pending.len();
-                pending.push(Pending { core, req });
+                let p = pending.insert(Pending { core, req });
                 self.cached_access(core, p, req, queue, l1_waiters, llc_waiters, stalls);
             }
             MemKind::Store(StoreKind::Streaming) => {
-                let p = pending.len();
-                pending.push(Pending { core, req });
+                let p = pending.insert(Pending { core, req });
                 let vault = self.map.vault_of(req.addr);
                 let arr = self.route_to_vault(self.endpoint(core), vault, req.bytes, t);
                 // Posted write: the store queue entry frees once the network
@@ -724,13 +772,16 @@ impl Machine {
                     .expect("permutable store outside an active shuffle");
                 let kind = AccessKind::PermutableWrite;
                 match self.enqueue_dram(dst_vault, base, req.bytes, kind, arr, VaultOp::Fire) {
-                    Ok(()) => self.perm_arrivals.entry(dst_vault).or_default().push((core, seq)),
+                    Ok(()) => {
+                        let arrival =
+                            (core as u32, u32::try_from(seq).expect("object seq fits u32"));
+                        self.perm_arrivals.entry(dst_vault).or_default().push(arrival);
+                    }
                     Err(_) => *overflows += 1,
                 }
             }
             MemKind::StreamFill { .. } => {
-                let p = pending.len();
-                pending.push(Pending { core, req });
+                let p = pending.insert(Pending { core, req });
                 let vault = self.map.vault_of(req.addr);
                 debug_assert_eq!(
                     vault, core as u32,
@@ -743,9 +794,12 @@ impl Machine {
         }
     }
 
-    /// Enqueues a DRAM request into vault `vault` under the next per-phase
-    /// id, registers its continuation `op` and marks the vault touched.
-    /// Every vault enqueue in the engine goes through here.
+    /// Enqueues a DRAM request into vault `vault`, registers its
+    /// continuation `op` under a free request id and marks the vault
+    /// touched. A [`VaultOp::Fire`] request takes no slot: it is tagged
+    /// [`NO_CONTINUATION`], so a permutable scatter's flood of writes (the
+    /// only requests that can overflow) never grows the continuation
+    /// table. Every vault enqueue in the engine goes through here.
     fn enqueue_dram(
         &mut self,
         vault: u32,
@@ -755,9 +809,11 @@ impl Machine {
         at: Time,
         op: VaultOp,
     ) -> Result<(), PermutableOverflow> {
-        let id = self.vault_ops.len() as u64;
+        let id = match op {
+            VaultOp::Fire => NO_CONTINUATION,
+            op => self.vault_ops.insert(op) as u64,
+        };
         let res = self.vaults[vault as usize].enqueue(DramRequest { id, addr, bytes, kind }, at);
-        self.vault_ops.push(res.is_ok().then_some(op));
         self.touched_vaults.push(vault);
         res
     }

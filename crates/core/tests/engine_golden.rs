@@ -16,6 +16,9 @@
 //!   the 64-vault `scaled` topology: one Join per evaluated system. CPU
 //!   covers the LLC path, NMP the inter-HMC links, and Mondrian the
 //!   stream buffers and permutable scatter.
+//! - `model_fingerprint_covers_the_goldens` holds
+//!   `mondrian_core::MODEL_FINGERPRINT` to the two tables, so regenerating
+//!   a digest also rotates every persistent store.
 
 use std::sync::Arc;
 
@@ -123,6 +126,20 @@ fn full_digest(report: &Report) -> u64 {
         }
     }
     h.0
+}
+
+#[test]
+fn model_fingerprint_covers_the_goldens() {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for d in GOLDEN.iter().map(|g| g.1).chain(TINY.iter().map(|t| t.1)) {
+        h.u64(d);
+    }
+    assert_eq!(
+        mondrian_core::MODEL_FINGERPRINT,
+        h.0,
+        "the golden tables changed; set MODEL_FINGERPRINT to {:#018x}",
+        h.0
+    );
 }
 
 fn engine_hash(report: &Report) -> Fnv {

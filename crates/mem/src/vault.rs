@@ -112,19 +112,25 @@ pub struct PermutableRegion {
 #[derive(Debug, Clone, Copy, Default)]
 struct Bank {
     ready: Time,
-    open_row: Option<u64>,
+    open_row: Option<u32>,
     last_act: Time,
     last_write_end: Time,
 }
 
+/// A queued request, 32 bytes: a permutable scatter can queue every
+/// object it moves at once.
 #[derive(Debug, Clone, Copy)]
 struct Pending {
+    /// Arrival tag within its scheduler queue. It wraps, and only has to
+    /// tell apart the requests inside the scheduling window.
+    seq: u32,
     id: u64,
     addr: u64,
     bytes: u32,
+    /// Row within the bank.
+    row: u32,
+    bank: u8,
     kind: AccessKind,
-    bank: u32,
-    row: u64,
 }
 
 /// One priority class of the FR-FCFS scheduler: the pending requests in
@@ -136,17 +142,17 @@ struct Pending {
 /// the masked banks.
 #[derive(Debug)]
 struct SchedQueue {
-    /// Requests in arrival order, tagged with a monotone arrival seq.
-    queue: VecDeque<(u64, Pending)>,
+    /// Requests in arrival order.
+    queue: VecDeque<Pending>,
     /// Scheduling-window width (only the oldest `window` requests are
     /// eligible for reordering).
     window: usize,
     /// Per bank: this bank's in-window requests as `(seq, row)`, in
     /// arrival order.
-    by_bank: Vec<VecDeque<(u64, u64)>>,
+    by_bank: Vec<VecDeque<(u32, u32)>>,
     /// Bit `b` is set iff `by_bank[b]` is non-empty.
     mask: u64,
-    next_seq: u64,
+    next_seq: u32,
 }
 
 impl SchedQueue {
@@ -164,26 +170,26 @@ impl SchedQueue {
         self.queue.len()
     }
 
-    fn push(&mut self, p: Pending) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+    fn push(&mut self, mut p: Pending) {
+        p.seq = self.next_seq;
+        self.next_seq = self.next_seq.wrapping_add(1);
         // The new request enters the window iff the queue is shorter than
         // the window; it is the youngest, so push_back keeps the bank's
         // candidate list in arrival order.
         if self.queue.len() < self.window {
-            self.add_candidate(seq, &p);
+            self.add_candidate(&p);
         }
-        self.queue.push_back((seq, p));
+        self.queue.push_back(p);
     }
 
-    fn add_candidate(&mut self, seq: u64, p: &Pending) {
-        self.by_bank[p.bank as usize].push_back((seq, p.row));
+    fn add_candidate(&mut self, p: &Pending) {
+        self.by_bank[p.bank as usize].push_back((p.seq, p.row));
         self.mask |= 1 << p.bank;
     }
 
     /// FR-FCFS within the window for `bank`: the oldest open-row hit,
     /// else the oldest request for the bank. Returns the arrival seq.
-    fn pick(&self, bank: u32, open: Option<u64>) -> Option<u64> {
+    fn pick(&self, bank: u32, open: Option<u32>) -> Option<u32> {
         let cands = &self.by_bank[bank as usize];
         if let Some(open) = open {
             if let Some(&(seq, _)) = cands.iter().find(|&&(_, row)| row == open) {
@@ -195,9 +201,15 @@ impl SchedQueue {
 
     /// Removes the picked request, sliding the next queued request into
     /// the window (and into its bank's candidate list).
-    fn remove(&mut self, seq: u64) -> Pending {
-        let idx = self.queue.binary_search_by_key(&seq, |&(s, _)| s).expect("picked seq is queued");
-        let (_, p) = self.queue.remove(idx).expect("index in range");
+    fn remove(&mut self, seq: u32) -> Pending {
+        // A pick comes from the window, the queue's first `window` slots.
+        let idx = self
+            .queue
+            .iter()
+            .take(self.window)
+            .position(|p| p.seq == seq)
+            .expect("picked seq is in the window");
+        let p = self.queue.remove(idx).expect("index in range");
         let cands = &mut self.by_bank[p.bank as usize];
         let pos = cands.iter().position(|&(s, _)| s == seq).expect("picked from the window");
         cands.remove(pos);
@@ -205,8 +217,8 @@ impl SchedQueue {
             self.mask &= !(1 << p.bank);
         }
         if self.queue.len() >= self.window {
-            let (s, slid) = self.queue[self.window - 1];
-            self.add_candidate(s, &slid);
+            let slid = self.queue[self.window - 1];
+            self.add_candidate(&slid);
         }
         p
     }
@@ -436,12 +448,13 @@ impl VaultController {
             "access crosses a row boundary"
         );
         let pending = Pending {
+            seq: 0,
             id: req.id,
             addr,
             bytes: req.bytes,
+            row: u32::try_from(row_index / self.cfg.banks as u64).expect("row index fits u32"),
+            bank: crate::addr::bank_of(row_index, self.cfg.banks) as u8,
             kind: req.kind,
-            bank: crate::addr::bank_of(row_index, self.cfg.banks),
-            row: row_index / self.cfg.banks as u64,
         };
         if req.kind.is_write() {
             self.stats.record_queue_depth(self.writes.len());

@@ -1,8 +1,13 @@
 //! The pipeline executor: lowers a stage DAG onto the simulated engine.
 //!
-//! Every stage first runs in a **serial reference pass**: one stage at a
-//! time over the whole machine, in stage order. One schedule executor
-//! then charges the run; [`Concurrency`] sets its two settings:
+//! Every stage first runs in a **serial reference pass**: each stage on
+//! the whole machine, verified against its reference executor. The pass
+//! builds the reference chain first, so every stage's inputs are known
+//! before any simulation, and then simulates the stages as independent
+//! jobs on the run's thread budget ([`PipelineConfig::threads`]); runs
+//! with an event budget or a fault plan simulate them in stage order. One
+//! schedule executor then charges the run; [`Concurrency`] sets its two
+//! settings:
 //!
 //! * **Vault leases** (every mode but `serial`) — the executor decomposes
 //!   the plan into branch waves ([`crate::schedule::Dag`]); the branches
@@ -44,7 +49,7 @@ use mondrian_core::fault::{Abort, AbortReason, FaultHandle};
 use mondrian_core::{ExperimentBuilder, KeyDist, PartitionSpec, Report, SystemConfig, SystemKind};
 use mondrian_noc::{MeshStats, SerDesStats};
 use mondrian_obs::{ProgressEvent, ProgressSink};
-use mondrian_sim::Time;
+use mondrian_sim::{fan_out, Time};
 use mondrian_workloads::{uniform_relation, zipfian_relation, Tuple};
 
 use crate::plan::{Plan, StageShape};
@@ -190,9 +195,10 @@ impl Pipeline {
     /// Like [`Pipeline::run_cached`], additionally streaming
     /// [`ProgressEvent`]s to `sink` as the run executes, tagged with
     /// `label`. Stage events fire from the serial reference pass in
-    /// stage order; wave events fire from the schedule executor in wave
-    /// order (serial runs emit none). Purely observational: the report is
-    /// byte-identical to an unobserved run.
+    /// stage order, as each stage's run is assembled; wave events fire
+    /// from the schedule executor in wave order (serial runs emit none).
+    /// Purely observational: the report is byte-identical to an
+    /// unobserved run.
     ///
     /// # Panics
     ///
@@ -224,14 +230,101 @@ impl Pipeline {
             let memo = RunMemo::default();
             (self.exec_schedule(cfg, &dag, &source, &serial, &outputs, obs, None, &memo), None)
         };
-        self.assemble(cfg, &dag, source.len(), serial, outputs, sched, planned)
+        self.assemble(cfg, &dag, source.len(), serial, sched, planned)
     }
 
-    /// The serial reference pass: every stage on the whole machine, in
-    /// stage order, each verified against its reference executor. Every
-    /// schedule is verified against (and its inputs resolved from) the
-    /// returned outputs.
+    /// The serial reference pass: every stage on the whole machine, each
+    /// verified against its reference executor. Every schedule is verified
+    /// against (and its inputs resolved from) the returned outputs.
+    ///
+    /// The pass first builds the reference chain on the calling thread, in
+    /// stage order: each stage's inputs resolve from the chain, the store
+    /// is probed once, and the stage's output is the stored projection of
+    /// a verified stage or else the pure reference output. A stage's
+    /// engine output must equal that relation to verify, so every stage
+    /// the store did not serve is then simulated, and checked against the
+    /// chain, as an independent job on up to `cfg.threads` threads. The
+    /// runs are assembled in stage order (store write, progress events), so
+    /// the result is the same for every thread count, and a stage that
+    /// fails verification feeds its consumers the reference output, not
+    /// its own.
+    ///
+    /// Runs with an event budget or an armed fault plan take
+    /// [`Pipeline::serial_pass_in_order`] instead: both are defined over
+    /// the ordered event count of the stages that ran before.
     fn serial_pass(
+        &self,
+        cfg: &PipelineConfig,
+        cache: &ExecCache,
+        source: &Rel,
+        label: &str,
+        sink: &dyn ProgressSink,
+    ) -> (Vec<StageRun>, Vec<Rel>) {
+        if cfg.max_events.is_some() || cfg.fault.is_some() {
+            return self.serial_pass_in_order(cfg, cache, source, label, sink);
+        }
+        // The chain. A stage the store serves (its digest chain of spec,
+        // source, input digests and build digest is unchanged) skips both
+        // its simulation and its reference execution, so an edited
+        // manifest re-simulates only the affected DAG suffix.
+        let mut outputs: Vec<Rel> = Vec::with_capacity(self.stages.len());
+        let mut links: Vec<ChainLink> = Vec::with_capacity(self.stages.len());
+        for (i, stage) in self.stages.iter().enumerate() {
+            check_deadline(cfg);
+            let inputs = resolve_inputs(stage, i, source, &outputs);
+            let build = resolve_build(&stage.spec, &outputs);
+            let key = cache.stage_key(cfg, stage, &inputs, build.as_deref());
+            let stored = key.as_deref().and_then(|key| cache.load_stage_run(key));
+            outputs.push(match &stored {
+                Some(run) if run.reference_ok => run.projected.clone(),
+                _ => cache.reference_output(cfg, stage, &inputs, build.as_deref()),
+            });
+            links.push(ChainLink { inputs, build, key, stored });
+        }
+
+        let unserved: Vec<usize> =
+            (0..links.len()).filter(|&i| links[i].stored.is_none()).collect();
+        // A verified run shares the chain's relation instead of keeping
+        // an equal copy of its own.
+        let fresh = fan_out(unserved.len(), cfg.threads, |j| {
+            check_deadline(cfg);
+            let i = unserved[j];
+            let (inputs, build) = (links[i].inputs.clone(), links[i].build.clone());
+            let mut run =
+                run_stage_engine(cfg, cfg.system_config(), &self.stages[i], inputs, build, None);
+            run.reference_ok = run.projected[..] == outputs[i][..];
+            if run.reference_ok {
+                run.projected = outputs[i].clone();
+            }
+            run
+        });
+        let mut fresh = fresh.into_iter();
+        let serial = self
+            .stages
+            .iter()
+            .zip(links)
+            .enumerate()
+            .map(|(i, (stage, link))| {
+                let op = stage.name().to_string();
+                sink.emit(label, &ProgressEvent::StageStarted { stage: i, op: op.clone() });
+                let run = link.stored.unwrap_or_else(|| {
+                    let run = fresh.next().expect("one fresh run per unserved stage");
+                    if let Some(key) = &link.key {
+                        cache.save_stage_run(key, &run);
+                    }
+                    run
+                });
+                sink.emit(label, &stage_finished(i, op, &run));
+                run
+            })
+            .collect();
+        (serial, outputs)
+    }
+
+    /// The serial pass one stage after another, each stage fed from its
+    /// predecessors' engine outputs: the path of runs whose event budget
+    /// or fault plan counts events across stages in stage order.
+    fn serial_pass_in_order(
         &self,
         cfg: &PipelineConfig,
         cache: &ExecCache,
@@ -290,15 +383,7 @@ impl Pipeline {
                 run
             };
             events_used += run.report.phases.iter().map(|p| p.events).sum::<u64>();
-            sink.emit(
-                label,
-                &ProgressEvent::StageFinished {
-                    stage: i,
-                    op: stage.name().to_string(),
-                    output_rows: run.projected.len(),
-                    runtime_ps: run.report.runtime_ps,
-                },
-            );
+            sink.emit(label, &stage_finished(i, stage.name().to_string(), &run));
             outputs.push(run.projected.clone());
             serial.push(run);
         }
@@ -363,13 +448,12 @@ impl Pipeline {
                 continue;
             };
 
-            // Execute every branch of the wave on its lease. Inputs come
-            // from the verified serial outputs, so cross-branch edges from
-            // earlier waves resolve identically in both schedules. With
-            // `threads > 1` the branches run on real OS threads — the
-            // simulation of each branch is self-contained and
-            // deterministic, so the merged result is byte-identical to
-            // the in-order execution regardless of thread scheduling.
+            // Execute every branch of the wave on its lease, on up to
+            // `cfg.threads` threads. Inputs come from the serial pass's
+            // outputs, so cross-branch edges from earlier waves resolve
+            // identically in both schedules. Each branch's simulation is
+            // self-contained and deterministic and the runs come back by
+            // slot, so the merge is byte-identical for every thread count.
             let run_branch = |slot: usize, b: usize| -> Vec<StageRun> {
                 dag.branches[b]
                     .iter()
@@ -384,35 +468,10 @@ impl Pipeline {
                     })
                     .collect()
             };
-            let branch_runs: Vec<Vec<StageRun>> = if cfg.threads > 1 {
-                // At most `cfg.threads` branches run at once. Slots are
-                // handed out through a work-stealing queue — the old
-                // chunked barrier stalled a whole chunk on its slowest
-                // branch — and the merge assembles by slot position, so
-                // the nondeterministic steal order never reaches the
-                // report.
-                let workers = cfg.threads.min(wave_branches.len());
-                let queue = mondrian_sim::StealQueue::seed(0..wave_branches.len(), workers);
-                let mut runs: Vec<Option<Vec<StageRun>>> =
-                    (0..wave_branches.len()).map(|_| None).collect();
-                let slots = Mutex::new(&mut runs);
-                std::thread::scope(|scope| {
-                    for w in 0..workers {
-                        let queue = &queue;
-                        let slots = &slots;
-                        let run_branch = &run_branch;
-                        scope.spawn(move || {
-                            while let Some(slot) = queue.pop(w) {
-                                let out = run_branch(slot, wave_branches[slot]);
-                                slots.lock().expect("branch worker panicked")[slot] = Some(out);
-                            }
-                        });
-                    }
+            let branch_runs: Vec<Vec<StageRun>> =
+                fan_out(wave_branches.len(), cfg.threads, |slot| {
+                    run_branch(slot, wave_branches[slot])
                 });
-                runs.into_iter().map(|r| r.expect("every slot executed")).collect()
-            } else {
-                (0..wave_branches.len()).map(|slot| run_branch(slot, wave_branches[slot])).collect()
-            };
             for (slot, &b) in wave_branches.iter().enumerate() {
                 for (&i, run) in dag.branches[b].iter().zip(&branch_runs[slot]) {
                     matches[i] = run.projected[..] == outputs[i][..];
@@ -836,18 +895,17 @@ impl Pipeline {
     /// Assembles the run's report from the charged execution: per stage,
     /// the scheduled (partitioned or streamed) run when the schedule
     /// charged one, else the serial pass's run.
-    #[allow(clippy::too_many_arguments)]
     fn assemble(
         &self,
         cfg: &PipelineConfig,
         dag: &Dag,
         source_rows: usize,
         serial: Vec<StageRun>,
-        outputs: Vec<Rel>,
         mut sched: SchedExec,
         planned: Option<PlanReport>,
     ) -> PipelineReport {
         let makespan = sched.makespan_ps();
+        let output = serial.last().expect("validated non-empty").projected.to_vec();
         let mut stages = Vec::with_capacity(self.stages.len());
         for (i, (stage, run)) in self.stages.iter().zip(serial).enumerate() {
             let serial_runtime_ps = run.report.runtime_ps;
@@ -895,7 +953,7 @@ impl Pipeline {
                 makespan_ps: makespan,
             },
             planned,
-            output: outputs.into_iter().next_back().expect("validated non-empty").to_vec(),
+            output,
         }
     }
 }
@@ -1014,6 +1072,15 @@ fn stream_rounds(run: &StageRun) -> Option<(Vec<Time>, Time)> {
     Some((spans, rest))
 }
 
+/// One stage of the serial pass's reference chain: its resolved input
+/// edges and build side, its store key and the run the store served.
+struct ChainLink {
+    inputs: Vec<Rel>,
+    build: Option<Rel>,
+    key: Option<Vec<u8>>,
+    stored: Option<StageRun>,
+}
+
 /// One executed stage (on the whole machine or on a lease).
 #[derive(Clone)]
 struct StageRun {
@@ -1106,6 +1173,16 @@ impl RunMemo {
             self.runs.lock().expect("run memo poisoned").insert(key, run.clone());
         }
         run
+    }
+}
+
+/// The progress event of a finished serial-pass stage.
+fn stage_finished(stage: usize, op: String, run: &StageRun) -> ProgressEvent {
+    ProgressEvent::StageFinished {
+        stage,
+        op,
+        output_rows: run.projected.len(),
+        runtime_ps: run.report.runtime_ps,
     }
 }
 
@@ -1403,10 +1480,11 @@ pub struct PipelineConfig {
     pub underprovision: Option<f64>,
     /// How to schedule the stages onto the machine.
     pub concurrency: Concurrency,
-    /// OS threads the branch and stream schedulers may use *within* this
-    /// run: waves with several leased branches execute them on up to
-    /// this many threads. Purely an execution-speed knob — results are
-    /// byte-identical for every value (1 = fully in-order execution).
+    /// OS threads this run may use, the calling thread included: the
+    /// serial pass simulates its stages, and waves with several leased
+    /// branches execute them, on up to this many threads. Purely an
+    /// execution-speed knob — results are byte-identical for every value
+    /// (1 = fully in-order execution).
     pub threads: usize,
     /// Cooperative non-tick event budget for the whole run, metered over
     /// the serial reference pass (stage boundaries plus the in-flight

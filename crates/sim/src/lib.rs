@@ -18,8 +18,9 @@
 //!   to a small binary heap and pop first, so the order holds for them too,
 //! * [`Stats`], a hierarchical counter registry used by the energy model and
 //!   the benchmark harness, and
-//! * [`StealQueue`], a work-stealing task queue the sweep executors use to
-//!   keep workers busy on uneven task lists.
+//! * [`fan_out`], the one helper that runs independent jobs (sweep points,
+//!   leased branches, serial-pass stages) on a thread budget and returns
+//!   their results in index order.
 //!
 //! # Example
 //!
@@ -38,11 +39,11 @@
 #![warn(missing_docs)]
 
 mod clock;
+mod fanout;
 mod queue;
 mod stats;
-mod worksteal;
 
 pub use clock::{Clock, Time, PS_PER_NS, PS_PER_US};
+pub use fanout::fan_out;
 pub use queue::EventQueue;
 pub use stats::{Stat, Stats};
-pub use worksteal::StealQueue;
